@@ -8,6 +8,7 @@ identities relating interior and boundary face counts.
 
 from .complexes import (
     BallCheckReport,
+    Census,
     Complex,
     ComplexError,
     DuplicateVertexError,

@@ -18,10 +18,11 @@ import argparse
 import json
 import sys
 
-from .complexes import Complex
+from .complexes import Complex, FVector
 from .corpus import DEFAULT_GRID, corpus_balls, grid_from_json
 from .fileio import load_complex, save_complex
 from .generators import (
+    SPHERE_FAMILIES,
     barycentric_subdivision,
     boundary_sphere,
     cone_over_boundary,
@@ -110,23 +111,23 @@ def _need(args: argparse.Namespace, *fields: str) -> None:
 
 def _cmd_fvector(args: argparse.Namespace) -> int:
     ball, _ = load_complex(args.input)
-    print("f(B) = " + " ".join(str(c) for c in ball.f_vector()))
-    report = ball.ball_check()
-    if not report.ok:
+    census = ball.census()
+    print(_row("f(B)", census.f))
+    if not census.report.ok:
         print(
             "error: boundary/interior rows need the ball screen to pass: "
-            + "; ".join(report.failures()),
+            + "; ".join(census.report.failures()),
             file=sys.stderr,
         )
         return 2
-    if ball.n == 1:
-        # single point: empty boundary, everything interior
-        print("f(∂B) =")
-        print("f(int B) = " + " ".join(str(c) for c in ball.f_vector()))
-        return 0
-    print("f(∂B) = " + " ".join(str(c) for c in ball.boundary().f_vector()))
-    print("f(int B) = " + " ".join(str(c) for c in ball.interior_f_vector()))
+    # a point (n = 1) has an empty boundary row: "f(∂B) =" with no counts
+    print(_row("f(∂B)", census.f_boundary))
+    print(_row("f(int B)", census.f_interior))
     return 0
+
+
+def _row(label: str, f: FVector) -> str:
+    return " ".join([f"{label} =", *map(str, f)])
 
 
 def _table_for(balls: list[tuple[str, Complex]]) -> GenocchiTable:
@@ -162,7 +163,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         grid = DEFAULT_GRID
         if args.grid is not None:
             with open(args.grid, encoding="utf-8") as fh:
-                grid = grid_from_json(json.load(fh))
+                try:
+                    obj = json.load(fh)
+                except RecursionError as exc:
+                    raise ValueError(f"{args.grid}: JSON nested too deeply") from exc
+            grid = grid_from_json(obj)
         balls = corpus_balls(grid, max_n=args.max_n)
         if not balls:
             raise ValueError("corpus is empty (check --max-n / --grid)")
@@ -220,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1, help="stacking seed (default 1)")
     p.add_argument(
         "--base",
-        choices=["simplex", "cross_polytope"],
+        choices=SPHERE_FAMILIES,
         help="sphere family (cone, sphere-minus-facet)",
     )
     p.add_argument("--in", dest="infile", help="input facet file (barycentric)")

@@ -15,7 +15,7 @@ materialized as a complex.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -29,6 +29,7 @@ __all__ = [
     "NoBoundaryError",
     "FVector",
     "BallCheckReport",
+    "Census",
     "Complex",
     "from_facets",
 ]
@@ -138,16 +139,38 @@ class BallCheckReport:
         return out
 
 
+@dataclass(frozen=True)
+class Census:
+    """One pass over a complex: its f-vectors and its ball screen.
+
+    ``f_interior`` is f - f_boundary componentwise.  ``boundary`` is the
+    complex generated by the ridges in exactly one facet, or None when
+    there is no such ridge or n < 2; then ``f_boundary`` is all zeros (and
+    empty for n = 1, where the boundary of a point has no faces).
+    ``ridge_overflow`` is the first ridge found in three or more facets,
+    with its facet count, or None.  The f-vectors describe a ball only
+    when ``report.ok``.
+    """
+
+    f: FVector
+    f_boundary: FVector
+    f_interior: FVector
+    report: BallCheckReport
+    boundary: Complex | None
+    ridge_overflow: tuple[Face, int] | None
+
+
 class Complex:
     """A pure simplicial complex given by its facets.
 
     Instances are immutable.  Use :func:`from_facets` to build one from
     raw vertex lists; the constructor trusts its argument.  The
-    per-dimension face sets are computed on first use and cached with a
-    single compute-then-assign, so concurrent readers are safe.
+    per-dimension face sets and the census are computed on first use and
+    cached with a single compute-then-assign, so concurrent readers are
+    safe.
     """
 
-    __slots__ = ("facets", "n", "_face_cache")
+    __slots__ = ("facets", "n", "_face_cache", "_census")
 
     def __init__(self, facets: frozenset[Face]):
         if not facets:
@@ -158,6 +181,7 @@ class Complex:
         self.facets = facets
         self.n = sizes.pop()
         self._face_cache: tuple[frozenset[Face], ...] | None = None
+        self._census: Census | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Complex):
@@ -199,80 +223,101 @@ class Complex:
         """Counts of distinct i-faces for i = 0 .. n-1."""
         return FVector(self.n, tuple(len(s) for s in self._faces_by_dim()))
 
-    def _ridge_incidence(self) -> Counter[Face]:
-        counts: Counter[Face] = Counter()
+    def census(self) -> "Census":
+        """Everything ``verify`` and ``fvector`` need, computed once and cached.
+
+        One pass over the facets builds the ridge -> facets map; the ridge
+        check, the boundary ridges and the facet-adjacency search all read
+        it.  The faces of this complex and of its boundary are expanded
+        once each.  Never raises.
+        """
+        census = self._census
+        if census is None:
+            census = self._take_census()
+            self._census = census
+        return census
+
+    def _take_census(self) -> "Census":
+        n = self.n
+        by_ridge: dict[Face, list[Face]] = {}
         for facet in self.facets:
-            counts.update(itertools.combinations(facet, self.n - 1))
-        return counts
+            for ridge in itertools.combinations(facet, n - 1):
+                by_ridge.setdefault(ridge, []).append(facet)
+        overflow = next(((r, len(h)) for r, h in by_ridge.items() if len(h) > 2), None)
+        boundary_ridges = frozenset(r for r, h in by_ridge.items() if len(h) == 1)
+
+        start = next(iter(self.facets))
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            for ridge in itertools.combinations(queue.popleft(), n - 1):
+                for nb in by_ridge[ridge]:
+                    if nb not in seen:
+                        seen.add(nb)
+                        queue.append(nb)
+
+        f = self.f_vector()
+        # for n = 1 the only ridge is the empty face: the boundary of a
+        # point is the empty complex, which has no faces to count
+        if boundary_ridges and n >= 2:
+            # the faces are counted on a throwaway copy and the census keeps
+            # a boundary without face sets: a caller holding many censuses
+            # (the corpus run holds one per ball) would otherwise hold every
+            # boundary's faces as well
+            f_bd = Complex(boundary_ridges).f_vector()
+            boundary = Complex(boundary_ridges)
+        else:
+            f_bd = FVector(n - 1, (0,) * (n - 1))
+            boundary = None
+        report = BallCheckReport(
+            n=n,
+            is_pure=True,
+            ridge_incidence_ok=overflow is None,
+            has_boundary=bool(boundary_ridges),
+            dual_graph_connected=len(seen) == len(self.facets),
+            euler_char_ball=f.euler_characteristic(),
+            euler_char_boundary=f_bd.euler_characteristic(),
+        )
+        return Census(
+            f=f,
+            f_boundary=f_bd,
+            f_interior=FVector(n, tuple(f[d] - f_bd[d] for d in range(n))),
+            report=report,
+            boundary=boundary,
+            ridge_overflow=overflow,
+        )
 
     def boundary(self) -> "Complex":
         """The subcomplex generated by ridges lying in exactly one facet.
 
         For a ball this is its boundary sphere.  Raises RidgeOverflowError
         if some ridge lies in three or more facets, NoBoundaryError if
-        every ridge lies in exactly two.
+        every ridge lies in exactly two.  The object is cached by
+        :meth:`census`, so repeated calls return the same complex.
         """
         if self.n < 2:
             raise ComplexError("boundary needs facets with at least 2 vertices")
-        incidence = self._ridge_incidence()
-        overflow = [r for r, c in incidence.items() if c > 2]
-        if overflow:
-            raise RidgeOverflowError(
-                f"ridge {overflow[0]} lies in {incidence[overflow[0]]} facets"
-            )
-        boundary_facets = frozenset(r for r, c in incidence.items() if c == 1)
-        if not boundary_facets:
+        census = self.census()
+        if census.ridge_overflow is not None:
+            ridge, count = census.ridge_overflow
+            raise RidgeOverflowError(f"ridge {ridge} lies in {count} facets")
+        if census.boundary is None:
             raise NoBoundaryError("every ridge is interior")
-        return Complex(boundary_facets)
+        return census.boundary
 
     def interior_f_vector(self) -> FVector:
         """f(B) - f(boundary B) componentwise.
 
         The boundary has no (n-1)-faces, so the top entry is the facet
         count.  The interior is a vector of counts only, not a complex.
+        Raises the errors of :meth:`boundary`.
         """
-        total = self.f_vector()
-        bd = self.boundary().f_vector()
-        return FVector(self.n, tuple(total[d] - bd[d] for d in range(self.n)))
+        self.boundary()
+        return self.census().f_interior
 
     def ball_check(self) -> BallCheckReport:
-        """Compute the necessary-condition screen.  Never raises."""
-        incidence = self._ridge_incidence()
-        ridge_ok = all(c <= 2 for c in incidence.values())
-        boundary_facets = [r for r, c in incidence.items() if c == 1]
-        if boundary_facets and self.n >= 2:
-            euler_bd = Complex(frozenset(boundary_facets)).f_vector().euler_characteristic()
-        else:
-            euler_bd = 0
-        return BallCheckReport(
-            n=self.n,
-            is_pure=True,
-            ridge_incidence_ok=ridge_ok,
-            has_boundary=bool(boundary_facets),
-            dual_graph_connected=self._dual_connected(incidence),
-            euler_char_ball=self.f_vector().euler_characteristic(),
-            euler_char_boundary=euler_bd,
-        )
-
-    def _dual_connected(self, incidence: Counter[Face]) -> bool:
-        by_ridge: dict[Face, list[Face]] = {r: [] for r in incidence}
-        for facet in self.facets:
-            for r in itertools.combinations(facet, self.n - 1):
-                by_ridge[r].append(facet)
-        adjacency: dict[Face, set[Face]] = {f: set() for f in self.facets}
-        for group in by_ridge.values():
-            for a, b in itertools.combinations(group, 2):
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        start = next(iter(self.facets))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            for nb in adjacency[queue.popleft()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        return len(seen) == len(self.facets)
+        """The necessary-condition screen, read from the census.  Never raises."""
+        return self.census().report
 
     def relabeled(self, mapping: dict[int, int]) -> "Complex":
         """The same complex with vertex ids replaced through ``mapping``."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 from .complexes import Complex
 from .generators import (
+    SPHERE_FAMILIES,
     barycentric_subdivision,
     boundary_sphere,
     cone_over_boundary,
@@ -47,13 +48,28 @@ DEFAULT_GRID = CorpusGrid(
 
 
 def grid_from_json(obj: dict) -> CorpusGrid:
-    """A grid from a parsed JSON object, defaulting omitted fields."""
+    """A grid from a parsed JSON object, defaulting omitted fields.
+
+    Raises ValueError unless every field has its type: a list of integers,
+    a list of sphere family names, or (``barycentric_max_n``) an integer.
+    """
     if not isinstance(obj, dict):
         raise ValueError("corpus grid file must hold a JSON object")
     known = {f.name for f in fields(CorpusGrid)}
     unknown = set(obj) - known
     if unknown:
         raise ValueError(f"unknown corpus grid fields: {sorted(unknown)}")
+    for key, value in obj.items():
+        if key == "barycentric_max_n":
+            ok, expected = type(value) is int, "an integer"
+        elif key == "sphere_bases":
+            ok = isinstance(value, list) and all(v in SPHERE_FAMILIES for v in value)
+            expected = f"a list of names from {list(SPHERE_FAMILIES)}"
+        else:
+            ok = isinstance(value, list) and all(type(v) is int for v in value)
+            expected = "a list of integers"
+        if not ok:
+            raise ValueError(f"corpus grid field {key!r} must be {expected}, got {value!r}")
     overrides = {
         key: tuple(value) if isinstance(value, list) else value
         for key, value in obj.items()

@@ -67,6 +67,8 @@ def load_complex(path: str | Path) -> tuple[Complex, str | None]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
     return complex_from_obj(obj)
 
 

@@ -18,6 +18,7 @@ import itertools
 from .complexes import Complex, ComplexError, from_facets
 
 __all__ = [
+    "SPHERE_FAMILIES",
     "SphereScreenError",
     "simplex_ball",
     "stacked_ball",
@@ -26,6 +27,9 @@ __all__ = [
     "sphere_minus_facet",
     "barycentric_subdivision",
 ]
+
+
+SPHERE_FAMILIES = ("simplex", "cross_polytope")
 
 
 class SphereScreenError(ComplexError):
@@ -111,7 +115,7 @@ def boundary_sphere(family: str, n: int) -> Complex:
 
 def _screen_sphere(S: Complex) -> None:
     """Necessary conditions for S to be a sphere; raises on failure."""
-    report = S.ball_check()
+    report = S.census().report
     expected = 1 + (-1) ** (S.n - 1)
     problems = []
     if not report.ridge_incidence_ok:

@@ -210,18 +210,11 @@ def verify_ball(
     trivially satisfied top case k = n, plus the boundary-only identity
     for every even-gap k up to the detected interior-free dimension.
     """
-    report = C.ball_check()
-    if not report.ok:
-        raise BallCheckError("; ".join(report.failures()))
+    census = C.census()
+    if not census.report.ok:
+        raise BallCheckError("; ".join(census.report.failures()))
     n = C.n
-    if n == 1:
-        # a single point: the boundary is the empty complex, which cannot
-        # be materialized, and the only check is the trivial k = n one
-        interior = C.f_vector()
-        boundary = FVector(0, ())
-    else:
-        interior = C.interior_f_vector()
-        boundary = C.boundary().f_vector()
+    interior, boundary = census.f_interior, census.f_boundary
     even_gap_ks = [k for k in range(0, n - 1) if (n - k) % 2 == 0]
     checks: list[IdentityCheck] = []
     for k in even_gap_ks:

@@ -1,0 +1,179 @@
+"""The one-pass census against the multi-pass reference it replaced.
+
+The reference counts ridge incidence with a Counter, searches the
+facet-adjacency graph built from pairs of facets sharing a ridge, and
+takes f(boundary) from a boundary complex built afresh with from_facets.
+Every census field, and the errors of boundary(), must match it.
+"""
+
+from collections import Counter, deque
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from genoball.complexes import (
+    BallCheckReport,
+    ComplexError,
+    FVector,
+    NoBoundaryError,
+    RidgeOverflowError,
+    from_facets,
+)
+from genoball.generators import (
+    SPHERE_FAMILIES,
+    barycentric_subdivision,
+    boundary_sphere,
+    cone_over_boundary,
+    simplex_ball,
+    sphere_minus_facet,
+    stacked_ball,
+)
+
+
+def reference_dual_connected(facets, n, incidence):
+    by_ridge = {r: [] for r in incidence}
+    for facet in facets:
+        for r in combinations(facet, n - 1):
+            by_ridge[r].append(facet)
+    adjacency = {f: set() for f in facets}
+    for group in by_ridge.values():
+        for a, b in combinations(group, 2):
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    start = next(iter(facets))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for nb in adjacency[queue.popleft()]:
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return len(seen) == len(facets)
+
+
+def reference_census(C):
+    """(f, f_bd, f_int, report, boundary facets or None, first overflow or None)."""
+    n = C.n
+    incidence = Counter()
+    for facet in C.facets:
+        incidence.update(combinations(facet, n - 1))
+    overflow = next(((r, c) for r, c in incidence.items() if c > 2), None)
+    ridges = [r for r, c in incidence.items() if c == 1]
+    f = tuple(from_facets(C.facets).f_vector())
+    if ridges and n >= 2:
+        bd_facets = frozenset(ridges)
+        f_bd = tuple(from_facets(ridges).f_vector())
+    else:
+        bd_facets = None
+        f_bd = (0,) * (n - 1)
+    f_bd_padded = f_bd + (0,) * (n - len(f_bd))
+    f_int = tuple(a - b for a, b in zip(f, f_bd_padded))
+    report = BallCheckReport(
+        n=n,
+        is_pure=True,
+        ridge_incidence_ok=overflow is None,
+        has_boundary=bool(ridges),
+        dual_graph_connected=reference_dual_connected(C.facets, n, incidence),
+        euler_char_ball=FVector(n, f).euler_characteristic(),
+        euler_char_boundary=FVector(n - 1, f_bd).euler_characteristic(),
+    )
+    return f, f_bd, f_int, report, bd_facets, overflow
+
+
+def assert_census_matches_reference(C):
+    census = C.census()
+    f, f_bd, f_int, report, bd_facets, overflow = reference_census(C)
+    assert tuple(census.f) == f
+    assert (census.f_boundary.n, tuple(census.f_boundary)) == (C.n - 1, f_bd)
+    assert (census.f_interior.n, tuple(census.f_interior)) == (C.n, f_int)
+    assert census.report == report
+    assert C.ball_check() == report
+    assert census.ridge_overflow == overflow
+    if bd_facets is None:
+        assert census.boundary is None
+    else:
+        assert census.boundary.facets == bd_facets
+    # boundary() and interior_f_vector() raise exactly as before
+    if C.n < 2:
+        expected = (ComplexError, "boundary needs facets with at least 2 vertices")
+    elif overflow is not None:
+        expected = (RidgeOverflowError, f"ridge {overflow[0]} lies in {overflow[1]} facets")
+    elif bd_facets is None:
+        expected = (NoBoundaryError, "every ridge is interior")
+    else:
+        expected = None
+    if expected is None:
+        assert C.boundary() is census.boundary
+        assert tuple(C.interior_f_vector()) == f_int
+    else:
+        for view in (C.boundary, C.interior_f_vector):
+            with pytest.raises(expected[0]) as info:
+                view()
+            assert type(info.value) is expected[0]
+            assert str(info.value) == expected[1]
+    assert C.census() is census
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 7), m=st.integers(1, 15), seed=st.integers(0, 2**32))
+def test_stacked_balls(n, m, seed):
+    assert_census_matches_reference(stacked_ball(n, m, seed))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 4), m=st.integers(1, 5), seed=st.integers(0, 2**32))
+def test_subdivided_stacked_balls(n, m, seed):
+    assert_census_matches_reference(barycentric_subdivision(stacked_ball(n, m, seed)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(SPHERE_FAMILIES), n=st.integers(2, 6))
+def test_spheres_and_balls_built_from_them(family, n):
+    sphere = boundary_sphere(family, n)
+    assert_census_matches_reference(sphere)
+    assert_census_matches_reference(cone_over_boundary(sphere))
+    assert_census_matches_reference(sphere_minus_facet(sphere))
+    if n <= 4:
+        assert_census_matches_reference(barycentric_subdivision(sphere))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(1, 7), min_size=n, max_size=n, unique=True),
+            min_size=1,
+            max_size=12,
+        )
+    )
+)
+def test_arbitrary_facet_sets(facets):
+    # mostly not balls: overflowing, disconnected and closed complexes
+    assert_census_matches_reference(from_facets(facets))
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [
+        [[1, 2, 3], [1, 2, 4], [1, 2, 5]],
+        [[1, 2, 3], [4, 5, 6]],
+        [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]],
+        [[1]],
+        [[1], [2]],
+        [[1, 2, 3], [1, 2, 4], [1, 2, 5], [6, 7, 8]],
+    ],
+    ids=["ridge-overflow", "disconnected", "closed-sphere", "point", "two-points",
+         "overflow-and-disconnected"],
+)
+def test_screen_failures_and_points(facets):
+    assert_census_matches_reference(from_facets(facets))
+
+
+def test_point_census_folds_the_empty_boundary():
+    census = simplex_ball(1).census()
+    assert census.report.ok
+    assert census.boundary is None
+    assert census.f_boundary == FVector(0, ())
+    assert census.f_interior == census.f == FVector(1, (1,))

@@ -7,6 +7,8 @@ mismatch, 2 = input/usage error.
 import json
 from fractions import Fraction
 
+import pytest
+
 from genoball import cli
 from genoball.fileio import save_complex
 from genoball.generators import simplex_ball
@@ -136,7 +138,7 @@ class TestFvectorCommand:
         path.write_text('{"n": 1, "facets": [[1]]}')
         code, out, _ = run(["fvector", str(path)], capsys)
         assert code == 0
-        assert "f(int B) = 1" in out
+        assert out == "f(B) = 1\nf(∂B) =\nf(int B) = 1\n"
 
     def test_disjoint_triangles_fail_screen(self, tmp_path, capsys):
         path = tmp_path / "dis.json"
@@ -217,6 +219,45 @@ class TestVerifyCommand:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"simplex_n": 5},
+            {"simplex_n": [1.5]},
+            {"stacked_m": [True]},
+            {"stacked_seeds": "123"},
+            {"sphere_bases": "simplex"},
+            {"sphere_bases": ["torus"]},
+            {"sphere_bases": [["simplex"]]},
+            {"barycentric_max_n": "x"},
+            {"barycentric_max_n": [2]},
+        ],
+        ids=[
+            "int-not-list",
+            "float-in-list",
+            "bool-in-list",
+            "string-not-list",
+            "base-not-list",
+            "unknown-base",
+            "nested-base",
+            "string-not-int",
+            "list-not-int",
+        ],
+    )
+    def test_mistyped_grid_field_rejected(self, tmp_path, capsys, obj):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(obj))
+        code, _, err = run(["verify", "--corpus", "--grid", str(grid)], capsys)
+        assert code == 2
+        assert next(iter(obj)) in err
+
+    def test_deeply_nested_grid_file_is_input_error(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text("[" * 200_000)
+        code, _, err = run(["verify", "--corpus", "--grid", str(grid)], capsys)
+        assert code == 2
+        assert "nested too deeply" in err
+
     def test_needs_exactly_one_input(self, tmp_path, capsys):
         code, _, _ = run(["verify"], capsys)
         assert code == 2
@@ -242,6 +283,16 @@ class TestVerifyCommand:
         code, out, _ = run(["verify", str(path)], capsys)
         assert code == 1
         assert "residual=1/2 FAIL" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "fvector"])
+def test_deeply_nested_facet_file_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run([command, str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply" in err
 
 
 def test_usage_error_exit_code(capsys):
