@@ -175,7 +175,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ball, name = load_complex(args.input)
         balls = [(name or str(args.input), ball)]
     table = _table_for(balls)
-    reports = [verify_ball(ball, table, name=name) for name, ball in balls]
+    # Pop each ball as it is verified, so that its face sets and census
+    # are freed before the next one is expanded.
+    balls.reverse()
+    reports = []
+    while balls:
+        name, ball = balls.pop()
+        reports.append(verify_ball(ball, table, name=name))
     all_pass = all(r.passed for r in reports)
     if args.json:
         if args.corpus:

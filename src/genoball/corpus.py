@@ -93,14 +93,15 @@ def corpus_balls(
         for m in grid.stacked_m:
             for seed in grid.stacked_seeds:
                 balls.append((f"stacked-n{n}-m{m}-s{seed}", stacked_ball(n, m, seed)))
-    for base in grid.sphere_bases:
-        for n in grid.sphere_n:
-            sphere = boundary_sphere(base, n)
-            balls.append((f"cone-{base}-n{n}", cone_over_boundary(sphere)))
-    for base in grid.sphere_bases:
-        for n in grid.sphere_n:
-            sphere = boundary_sphere(base, n)
-            balls.append((f"minus-facet-{base}-n{n}", sphere_minus_facet(sphere)))
+    spheres = [
+        (f"{base}-n{n}", boundary_sphere(base, n))
+        for base in grid.sphere_bases
+        for n in grid.sphere_n
+    ]
+    for label, sphere in spheres:
+        balls.append((f"cone-{label}", cone_over_boundary(sphere)))
+    for label, sphere in spheres:
+        balls.append((f"minus-facet-{label}", sphere_minus_facet(sphere)))
     subdivided = [
         (f"sd-{name}", barycentric_subdivision(ball))
         for name, ball in balls

@@ -13,6 +13,7 @@ produce interior faces in every dimension.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 from .complexes import Complex, ComplexError, from_facets
@@ -63,14 +64,6 @@ def simplex_ball(n: int) -> Complex:
     return from_facets([range(1, n + 1)])
 
 
-def _boundary_ridges(facets: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    counts: dict[tuple[int, ...], int] = {}
-    for facet in facets:
-        for r in itertools.combinations(facet, n - 1):
-            counts[r] = counts.get(r, 0) + 1
-    return sorted(r for r, c in counts.items() if c == 1)
-
-
 def stacked_ball(n: int, m: int, seed: int) -> Complex:
     """A shellable (n-1)-ball with m facets, grown by stacking.
 
@@ -79,6 +72,11 @@ def stacked_ball(n: int, m: int, seed: int) -> Complex:
     vertex and glues the facet ridge + vertex onto it.  The interior faces
     are exactly the m-1 glued ridges and the m facets, so the interior
     f-vector is (0, ..., 0, m-1, m).
+
+    The boundary ridges are kept in one sorted list across the steps: the
+    glued ridge leaves it and the n-1 ridges through the fresh vertex join
+    it, so the build costs O(m*n) steps plus O(m*n) list inserts.  The
+    list exists only when m > 1, so ``stacked_ball(n, 1, seed)`` is O(n).
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -86,11 +84,14 @@ def stacked_ball(n: int, m: int, seed: int) -> Complex:
         raise ValueError(f"m must be >= 1, got {m}")
     rng = _Lcg(seed)
     facets = [tuple(range(1, n + 1))]
-    for step in range(m - 1):
-        ridges = _boundary_ridges(facets, n)
-        ridge = ridges[rng.below(len(ridges))]
-        fresh = n + step + 1
-        facets.append(tuple(sorted(ridge + (fresh,))))
+    if m > 1:
+        ridges = list(itertools.combinations(facets[0], n - 1))
+        for fresh in range(n + 1, n + m):
+            ridge = ridges.pop(rng.below(len(ridges)))
+            # fresh exceeds every vertex so far, so these tuples are sorted
+            facets.append(ridge + (fresh,))
+            for sub in itertools.combinations(ridge, n - 2):
+                bisect.insort(ridges, sub + (fresh,))
     return from_facets(facets)
 
 

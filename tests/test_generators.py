@@ -1,12 +1,17 @@
 """Ball generators: the five corpus families and their determinism."""
 
+import itertools
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genoball.complexes import NoBoundaryError
 from genoball.generators import (
     SphereScreenError,
+    _Lcg,
     barycentric_subdivision,
     boundary_sphere,
     cone_over_boundary,
@@ -69,6 +74,44 @@ class TestStackedBall:
             stacked_ball(1, 2, 0)
         with pytest.raises(ValueError):
             stacked_ball(3, 0, 0)
+
+
+def rescan_stacked_facets(n, m, seed):
+    """Reference stacking: recount and re-sort every boundary ridge at each step."""
+    rng = _Lcg(seed)
+    facets = [tuple(range(1, n + 1))]
+    for step in range(m - 1):
+        counts = {}
+        for facet in facets:
+            for r in itertools.combinations(facet, n - 1):
+                counts[r] = counts.get(r, 0) + 1
+        ridges = sorted(r for r, c in counts.items() if c == 1)
+        ridge = ridges[rng.below(len(ridges))]
+        facets.append(tuple(sorted(ridge + (n + step + 1,))))
+    return frozenset(facets)
+
+
+class TestIncrementalStacking:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        m=st.integers(1, 60),
+        seed=st.one_of(st.integers(0, 2**64), st.integers(-(2**64), -1)),
+    )
+    def test_matches_rescan(self, n, m, seed):
+        assert stacked_ball(n, m, seed).facets == rescan_stacked_facets(n, m, seed)
+
+    def test_single_facet_enumerates_no_ridges(self):
+        # an eager ridge list would hold 3000 tuples of 2999 vertices (~72 MB)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ball = stacked_ball(3000, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ball.facets == frozenset({tuple(range(1, 3001))})
+        assert peak - base < 1 << 20
 
 
 class TestBoundarySphere:
