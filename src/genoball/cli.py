@@ -19,7 +19,7 @@ import json
 import sys
 
 from .complexes import Complex, FVector
-from .corpus import DEFAULT_GRID, corpus_balls, grid_from_json
+from .corpus import BALL_NAMES, DEFAULT_GRID, corpus_balls, grid_from_json
 from .fileio import load_complex, save_complex
 from .generators import (
     SPHERE_FAMILIES,
@@ -79,25 +79,24 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     family = args.family
     if family == "simplex":
         _need(args, "n")
-        ball, name = simplex_ball(args.n), f"simplex-n{args.n}"
+        ball = simplex_ball(args.n)
     elif family == "stacked":
         _need(args, "n", "m")
         ball = stacked_ball(args.n, args.m, args.seed)
-        name = f"stacked-n{args.n}-m{args.m}-s{args.seed}"
     elif family == "cone":
         _need(args, "base", "n")
         ball = cone_over_boundary(boundary_sphere(args.base, args.n))
-        name = f"cone-{args.base}-n{args.n}"
     elif family == "sphere-minus-facet":
         _need(args, "base", "n")
         ball = sphere_minus_facet(boundary_sphere(args.base, args.n))
-        name = f"minus-facet-{args.base}-n{args.n}"
     else:  # barycentric
         if args.infile is None:
             raise ValueError("family barycentric requires --in FILE")
         source, source_name = load_complex(args.infile)
         ball = barycentric_subdivision(source)
-        name = f"sd-{source_name}" if source_name else "sd"
+        name = BALL_NAMES[family].format(name=source_name) if source_name else "sd"
+    if family != "barycentric":
+        name = BALL_NAMES[family].format_map(vars(args))
     save_complex(ball, args.out, name)
     return 0
 
@@ -172,11 +171,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not balls:
             raise ValueError("corpus is empty (check --max-n / --grid)")
     else:
+        if args.grid is not None or args.max_n is not None:
+            raise ValueError("--grid and --max-n apply only with --corpus")
         ball, name = load_complex(args.input)
         balls = [(name or str(args.input), ball)]
     table = _table_for(balls)
-    # Pop each ball as it is verified, so that its face sets and census
-    # are freed before the next one is expanded.
+    # Pop each ball as it is verified, so that its facets and census are
+    # freed before the next one is expanded.
     balls.reverse()
     reports = []
     while balls:

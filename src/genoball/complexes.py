@@ -164,13 +164,13 @@ class Complex:
     """A pure simplicial complex given by its facets.
 
     Instances are immutable.  Use :func:`from_facets` to build one from
-    raw vertex lists; the constructor trusts its argument.  The
-    per-dimension face sets and the census are computed on first use and
-    cached with a single compute-then-assign, so concurrent readers are
-    safe.
+    raw vertex lists; the constructor trusts its argument.  Faces are
+    expanded one dimension at a time when asked for and never kept.  Only
+    the census is cached, with a single compute-then-assign, so concurrent
+    readers are safe.
     """
 
-    __slots__ = ("facets", "n", "_face_cache", "_census")
+    __slots__ = ("facets", "n", "_census")
 
     def __init__(self, facets: frozenset[Face]):
         if not facets:
@@ -180,7 +180,6 @@ class Complex:
             raise NonPureError(f"facet sizes differ: {sorted(sizes)}")
         self.facets = facets
         self.n = sizes.pop()
-        self._face_cache: tuple[frozenset[Face], ...] | None = None
         self._census: Census | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -202,26 +201,16 @@ class Complex:
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted({v for f in self.facets for v in f}))
 
-    def _faces_by_dim(self) -> tuple[frozenset[Face], ...]:
-        cache = self._face_cache
-        if cache is None:
-            sets: list[set[Face]] = [set() for _ in range(self.n)]
-            for facet in self.facets:
-                for size in range(1, self.n + 1):
-                    sets[size - 1].update(itertools.combinations(facet, size))
-            cache = tuple(frozenset(s) for s in sets)
-            self._face_cache = cache
-        return cache
-
     def faces(self, dim: int) -> frozenset[Face]:
-        """All faces of the given dimension (empty set outside 0..n-1)."""
-        if 0 <= dim < self.n:
-            return self._faces_by_dim()[dim]
-        return frozenset()
+        """All faces of the given dimension (empty set outside 0..n-1), expanded anew."""
+        if not 0 <= dim < self.n:
+            return frozenset()
+        combos = (itertools.combinations(facet, dim + 1) for facet in self.facets)
+        return frozenset(itertools.chain.from_iterable(combos))
 
     def f_vector(self) -> FVector:
-        """Counts of distinct i-faces for i = 0 .. n-1."""
-        return FVector(self.n, tuple(len(s) for s in self._faces_by_dim()))
+        """Counts of distinct i-faces for i = 0 .. n-1, one dimension at a time."""
+        return FVector(self.n, tuple(len(self.faces(d)) for d in range(self.n)))
 
     def census(self) -> "Census":
         """Everything ``verify`` and ``fvector`` need, computed once and cached.
@@ -260,12 +249,8 @@ class Complex:
         # for n = 1 the only ridge is the empty face: the boundary of a
         # point is the empty complex, which has no faces to count
         if boundary_ridges and n >= 2:
-            # the faces are counted on a throwaway copy and the census keeps
-            # a boundary without face sets: a caller holding many censuses
-            # (the corpus run holds one per ball) would otherwise hold every
-            # boundary's faces as well
-            f_bd = Complex(boundary_ridges).f_vector()
             boundary = Complex(boundary_ridges)
+            f_bd = boundary.f_vector()
         else:
             f_bd = FVector(n - 1, (0,) * (n - 1))
             boundary = None

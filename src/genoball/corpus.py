@@ -22,7 +22,17 @@ from .generators import (
     stacked_ball,
 )
 
-__all__ = ["CorpusGrid", "DEFAULT_GRID", "grid_from_json", "corpus_balls"]
+__all__ = ["BALL_NAMES", "CorpusGrid", "DEFAULT_GRID", "grid_from_json", "corpus_balls"]
+
+# Ball names by ``generate`` family: a generated file carries the name
+# that the corpus gives the same ball.
+BALL_NAMES = {
+    "simplex": "simplex-n{n}",
+    "stacked": "stacked-n{n}-m{m}-s{seed}",
+    "cone": "cone-{base}-n{n}",
+    "sphere-minus-facet": "minus-facet-{base}-n{n}",
+    "barycentric": "sd-{name}",
+}
 
 
 @dataclass(frozen=True)
@@ -88,22 +98,24 @@ def corpus_balls(
     """
     balls: list[tuple[str, Complex]] = []
     for n in grid.simplex_n:
-        balls.append((f"simplex-n{n}", simplex_ball(n)))
+        balls.append((BALL_NAMES["simplex"].format(n=n), simplex_ball(n)))
     for n in grid.stacked_n:
         for m in grid.stacked_m:
             for seed in grid.stacked_seeds:
-                balls.append((f"stacked-n{n}-m{m}-s{seed}", stacked_ball(n, m, seed)))
+                name = BALL_NAMES["stacked"].format(n=n, m=m, seed=seed)
+                balls.append((name, stacked_ball(n, m, seed)))
     spheres = [
-        (f"{base}-n{n}", boundary_sphere(base, n))
+        (base, n, boundary_sphere(base, n))
         for base in grid.sphere_bases
         for n in grid.sphere_n
     ]
-    for label, sphere in spheres:
-        balls.append((f"cone-{label}", cone_over_boundary(sphere)))
-    for label, sphere in spheres:
-        balls.append((f"minus-facet-{label}", sphere_minus_facet(sphere)))
+    for base, n, sphere in spheres:
+        balls.append((BALL_NAMES["cone"].format(base=base, n=n), cone_over_boundary(sphere)))
+    for base, n, sphere in spheres:
+        name = BALL_NAMES["sphere-minus-facet"].format(base=base, n=n)
+        balls.append((name, sphere_minus_facet(sphere)))
     subdivided = [
-        (f"sd-{name}", barycentric_subdivision(ball))
+        (BALL_NAMES["barycentric"].format(name=name), barycentric_subdivision(ball))
         for name, ball in balls
         if ball.n <= grid.barycentric_max_n
     ]

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from genoball import cli
-from genoball.fileio import save_complex
+from genoball.corpus import corpus_balls
+from genoball.fileio import load_complex, save_complex
 from genoball.generators import simplex_ball
 from genoball.verify import IdentityCheck, VerificationReport
 
@@ -99,6 +100,27 @@ class TestGenerateCommand:
         obj = json.loads(out_file.read_text())
         assert len(obj["facets"]) == 6
         assert obj["name"] == "sd-tri"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simplex", "--n", "4"],
+            ["stacked", "--n", "5", "--m", "20", "--seed", "3"],
+            ["cone", "--base", "cross_polytope", "--n", "4"],
+            ["sphere-minus-facet", "--base", "simplex", "--n", "5"],
+            ["barycentric"],
+        ],
+    )
+    def test_names_match_corpus(self, tmp_path, capsys, args):
+        if args == ["barycentric"]:
+            src = tmp_path / "src.json"
+            run(["generate", "simplex", "--n", "3", "--out", str(src)], capsys)
+            args = [*args, "--in", str(src)]
+        out_file = tmp_path / "ball.json"
+        code, _, _ = run(["generate", *args, "--out", str(out_file)], capsys)
+        assert code == 0
+        ball, name = load_complex(out_file)
+        assert dict(corpus_balls())[name] == ball
 
     def test_missing_param_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -265,6 +287,15 @@ class TestVerifyCommand:
         save_complex(simplex_ball(3), path)
         code, _, _ = run(["verify", str(path), "--corpus"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("option", [["--grid", "/nonexistent/grid.json"], ["--max-n", "3"]])
+    def test_corpus_options_need_corpus(self, tmp_path, capsys, option):
+        path = tmp_path / "tri.json"
+        save_complex(simplex_ball(3), path)
+        code, out, err = run(["verify", str(path), *option], capsys)
+        assert code == 2
+        assert out == ""
+        assert "only with --corpus" in err
 
     def test_missing_file_is_input_error(self, capsys):
         code, _, _ = run(["verify", "/nonexistent/ball.json"], capsys)

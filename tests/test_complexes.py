@@ -5,6 +5,8 @@ every subset of the vertex set for membership, instead of expanding
 facets.
 """
 
+import gc
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -26,6 +28,7 @@ TWO_TRIANGLES = [[1, 2, 3], [2, 3, 4]]
 # four tetrahedra sharing apex 0 over the boundary of a tetrahedron
 CONE_OVER_TETRA_BOUNDARY = [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4]]
 TETRA_BOUNDARY = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
+MB = 1 << 20
 
 
 def oracle_f_vector(facet_lists):
@@ -122,9 +125,24 @@ class TestFVector:
                 for sub in combinations(face, dim):
                     assert sub in c.faces(dim - 1)
 
-    def test_face_cache_is_stable(self):
-        c = from_facets(TWO_TRIANGLES)
-        assert c.faces(1) is c.faces(1)
+    def test_census_keeps_no_face_sets(self):
+        # one 14-vertex facet has 16383 faces and its boundary 16382: a
+        # census that kept either's face sets would hold about 2 MB
+        c = from_facets([range(1, 15)])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            census = c.census()
+            peak = tracemalloc.get_traced_memory()[1]
+            # a full collection empties the tuple free lists, which would
+            # otherwise keep up to 2000 freed faces of each size
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert census.f[6] == 3432
+        assert held - base < 0.1 * MB
+        assert peak - base < 2.5 * MB
 
 
 class TestBoundary:
