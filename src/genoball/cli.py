@@ -8,8 +8,9 @@ Commands:
     verify FILE | --corpus          evaluate all identities, exactly
 
 Exit codes are a contract: 0 = all identities hold, 1 = a nonzero residual
-or cross-check mismatch, 2 = input or usage error.  Output carries no
-timestamps, so identical inputs give identical bytes.
+or cross-check mismatch (a failed internal self-check included), 2 = input
+or usage error.  Output carries no timestamps, so identical inputs give
+identical bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .generators import (
 )
 from .genocchi import (
     GenocchiTable,
+    SelfCheckError,
     genocchi_by_bernoulli,
     genocchi_by_recursion_even,
     genocchi_by_recursion_odd,
@@ -262,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SelfCheckError as exc:
+        print(f"error: self-check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

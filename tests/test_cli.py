@@ -1,15 +1,16 @@
 """Command-line interface: output, round trips, and the exit-code contract.
 
 Exit codes: 0 = all identities hold, 1 = nonzero residual or cross-check
-mismatch, 2 = input/usage error.
+mismatch (a failed self-check included), 2 = input/usage error.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from genoball import cli
+from genoball import cli, genocchi, verify
 from genoball.corpus import corpus_balls
 from genoball.fileio import load_complex, save_complex
 from genoball.generators import simplex_ball
@@ -55,6 +56,23 @@ class TestGenocchiCommand:
         code, out, _ = run(["genocchi", "2"], capsys)
         assert code == 1
         assert "MISMATCH" in out
+
+    def test_self_check_failure_exits_one(self, capsys, monkeypatch):
+        def failing(N):
+            raise genocchi.SelfCheckError("G_2 must be an integer, got 1/2")
+
+        monkeypatch.setitem(cli._METHODS, "recursion-odd", failing)
+        code, out, err = run(["genocchi", "3"], capsys)
+        assert code == 1
+        assert err == "error: self-check failed: G_2 must be an integer, got 1/2\n"
+        assert "cross-check" not in out
+
+    def test_wrong_binomial_exits_one_without_traceback(self, capsys, monkeypatch):
+        monkeypatch.setattr(genocchi, "binomial", lambda n, k: math.comb(n + 1, k))
+        code, _, err = run(["genocchi", "6"], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: self-check failed: ")
 
 
 class TestGenerateCommand:
@@ -314,6 +332,16 @@ class TestVerifyCommand:
         code, out, _ = run(["verify", str(path)], capsys)
         assert code == 1
         assert "residual=1/2 FAIL" in out
+
+    def test_self_check_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a binomial that is not symmetric trips verify._checked_binomials
+        monkeypatch.setattr(verify, "binomial", lambda n, k: math.comb(n, k) + k)
+        path = tmp_path / "ball.json"
+        save_complex(simplex_ball(4), path)
+        code, out, err = run(["verify", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: self-check failed: binomial symmetry broken at")
 
 
 @pytest.mark.parametrize("command", ["verify", "fvector"])

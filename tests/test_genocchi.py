@@ -5,15 +5,20 @@ Expected values were frozen from the series expansion of 2t/(e^t + 1)
 against an independent computer algebra system.
 """
 
+import math
+import types
 from fractions import Fraction
 
 import pytest
 
+from genoball import genocchi
 from genoball.genocchi import (
     DEFAULT_DUMONT_LIMIT,
     G1,
     GenocchiTable,
     InsufficientTableError,
+    SelfCheckError,
+    _exact_div,
     bernoulli,
     binomial,
     dumont_count,
@@ -251,3 +256,125 @@ def test_integrality_everywhere():
 def test_tables_are_plain_data():
     table = GenocchiTable(max_index=4, values={2: -1, 4: 1}, method="series")
     assert table.genocchi(4) == 1
+
+
+# Reference kernels: the Fraction arithmetic the series, Bernoulli and
+# odd-recursion routes used before they moved to integers over a common
+# denominator.  Each coefficient they produce does not depend on the
+# truncation, so one run at the largest size serves every smaller size.
+
+
+def _ref_series_quotient(num, den):
+    q = []
+    lead = den[0]
+    for i in range(len(num)):
+        acc = num[i]
+        for j in range(i):
+            acc -= q[j] * den[i - j]
+        q.append(acc / lead)
+    return q
+
+
+def _ref_series(N):
+    degree = 2 * N + 1
+    den = [Fraction(2)] + [Fraction(1, math.factorial(j)) for j in range(1, degree + 1)]
+    num = [Fraction(0)] * (degree + 1)
+    num[1] = Fraction(2)
+    q = _ref_series_quotient(num, den)
+    assert q[1] == 1
+    assert all(q[2 * n + 1] == 0 for n in range(1, N + 1))
+    return {2 * n: q[2 * n] * math.factorial(2 * n) for n in range(1, N + 1)}
+
+
+def _ref_bernoulli(M):
+    values = {0: Fraction(1)}
+    for m in range(1, M + 1):
+        acc = sum(math.comb(m + 1, j) * values[j] for j in range(m))
+        values[m] = Fraction(-acc, m + 1)
+    return values
+
+
+def _ref_recursion_odd(N):
+    values = {}
+    for n in range(1, N + 1):
+        acc = Fraction(-1)
+        for k in range(1, n):
+            acc -= Fraction(math.comb(2 * n, 2 * k - 1) * values[2 * k], 2 * k)
+        values[2 * n] = acc
+    return values
+
+
+def _ref_genocchi_by_bernoulli(N):
+    b = _ref_bernoulli(2 * N)
+    return {2 * n: 2 * (1 - 4**n) * b[2 * n] for n in range(1, N + 1)}
+
+
+def _assert_entrywise(got, expected, label):
+    assert sorted(got) == sorted(expected), label
+    for index, value in expected.items():
+        assert got[index] == value, f"{label}: index {index}"
+
+
+class TestAgainstFractionKernels:
+    @pytest.mark.parametrize(
+        "route, reference",
+        [
+            (genocchi_by_series, _ref_series),
+            (genocchi_by_recursion_odd, _ref_recursion_odd),
+            (genocchi_by_bernoulli, _ref_genocchi_by_bernoulli),
+        ],
+    )
+    def test_route_matches_its_old_kernel_through_n80(self, route, reference):
+        expected = reference(80)
+        assert all(v.denominator == 1 for v in expected.values())
+        for N in range(1, 81):
+            table = route(N)
+            assert table.max_index == 2 * N
+            assert all(type(v) is int for v in table.values.values())
+            prefix = {i: v for i, v in expected.items() if i <= 2 * N}
+            _assert_entrywise(table.values, prefix, f"{route.__name__}({N})")
+
+    def test_bernoulli_matches_fraction_convolution_through_m160(self):
+        expected = _ref_bernoulli(160)
+        assert expected[1] == Fraction(-1, 2)
+        assert all(expected[m] == 0 for m in range(3, 161, 2))
+        for M in range(0, 161):
+            table = bernoulli(M)
+            assert table.max_index == M
+            assert all(type(v) is Fraction for v in table.values.values())
+            prefix = {m: v for m, v in expected.items() if m <= M}
+            _assert_entrywise(table.values, prefix, f"bernoulli({M})")
+
+
+class TestExactDivision:
+    def test_exact_quotient(self):
+        assert _exact_div(12, 4, "x") == 3
+        assert _exact_div(-12, 4, "x") == -3
+        assert _exact_div(0, 7, "x") == 0
+
+    @pytest.mark.parametrize("num, den", [(7, 2), (-7, 2), (1, 3)])
+    def test_remainder_raises(self, num, den):
+        with pytest.raises(SelfCheckError, match=r"x must be an integer, got -?\d+/\d+"):
+            _exact_div(num, den, "x")
+
+    @pytest.mark.parametrize(
+        "shift", [lambda n, k: (n + 1, k), lambda n, k: (n, k + 1)], ids=["n+1", "k+1"]
+    )
+    def test_wrong_binomial_is_caught(self, monkeypatch, shift):
+        expected_bernoulli = bernoulli(12).values
+        monkeypatch.setattr(genocchi, "binomial", lambda n, k: math.comb(*shift(n, k)))
+        with pytest.raises(SelfCheckError, match="must be an integer"):
+            genocchi_by_recursion_odd(6)
+        # every division of the Bernoulli convolution stays exact here, so
+        # the wrong weights show as a different table
+        assert bernoulli(12).values != expected_bernoulli
+
+    def test_wrong_series_coefficient_trips_odd_check(self, monkeypatch):
+        # d_3 = D/3! replaced by D: every division stays exact through
+        # t^7 at N = 3, so only the odd-coefficient check can catch it
+        fake_math = types.SimpleNamespace(
+            factorial=lambda j: 1 if j == 3 else math.factorial(j), comb=math.comb
+        )
+        monkeypatch.setattr(genocchi, "math", fake_math)
+        with pytest.raises(SelfCheckError, match=r"\[t\^5\] of 2t/\(e\^t\+1\) must vanish"):
+            genocchi_by_series(3)
