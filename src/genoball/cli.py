@@ -21,7 +21,7 @@ import sys
 
 from .complexes import Complex, FVector
 from .corpus import BALL_NAMES, DEFAULT_GRID, corpus_balls, grid_from_json
-from .fileio import load_complex, save_complex
+from .fileio import load_complex, load_json, save_complex
 from .generators import (
     SPHERE_FAMILIES,
     barycentric_subdivision,
@@ -163,12 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.corpus:
         grid = DEFAULT_GRID
         if args.grid is not None:
-            with open(args.grid, encoding="utf-8") as fh:
-                try:
-                    obj = json.load(fh)
-                except RecursionError as exc:
-                    raise ValueError(f"{args.grid}: JSON nested too deeply") from exc
-            grid = grid_from_json(obj)
+            grid = grid_from_json(load_json(args.grid))
         balls = corpus_balls(grid, max_n=args.max_n)
         if not balls:
             raise ValueError("corpus is empty (check --max-n / --grid)")

@@ -91,15 +91,15 @@ class FVector:
 class BallCheckReport:
     """Necessary-condition screen for "is this facet set a ball?".
 
-    Purity, ridge incidence at most 2, a nonempty boundary, a connected
+    Ridge incidence at most 2, a nonempty boundary, a connected
     facet-adjacency graph, and the two Euler characteristics.  A genuine
     (n-1)-ball has euler_char_ball = 1 and euler_char_boundary =
-    1 + (-1)^n.  Passing the screen does NOT prove ball-ness; failing it
-    disproves it.
+    1 + (-1)^n.  Purity is not a field: building a :class:`Complex` from
+    facets of mixed sizes already raises NonPureError.  Passing the
+    screen does NOT prove ball-ness; failing it disproves it.
     """
 
     n: int
-    is_pure: bool
     ridge_incidence_ok: bool
     has_boundary: bool
     dual_graph_connected: bool
@@ -109,8 +109,7 @@ class BallCheckReport:
     @property
     def ok(self) -> bool:
         return (
-            self.is_pure
-            and self.ridge_incidence_ok
+            self.ridge_incidence_ok
             and self.has_boundary
             and self.dual_graph_connected
             and self.euler_char_ball == 1
@@ -120,8 +119,6 @@ class BallCheckReport:
     def failures(self) -> list[str]:
         """Human-readable list of the conditions that failed."""
         out = []
-        if not self.is_pure:
-            out.append("facets of mixed dimension")
         if not self.ridge_incidence_ok:
             out.append("a ridge lies in more than two facets")
         if not self.has_boundary:
@@ -256,7 +253,6 @@ class Complex:
             boundary = None
         report = BallCheckReport(
             n=n,
-            is_pure=True,
             ridge_incidence_ok=overflow is None,
             has_boundary=bool(boundary_ridges),
             dual_graph_connected=len(seen) == len(self.facets),
@@ -327,9 +323,4 @@ def from_facets(facet_lists: Iterable[Sequence[int]]) -> Complex:
         if len(set(facet)) != len(facet):
             raise DuplicateVertexError(f"facet {list(raw)} repeats a vertex")
         normalized.add(facet)
-    if not normalized:
-        raise EmptyInputError("no facets given")
-    sizes = {len(f) for f in normalized}
-    if len(sizes) != 1:
-        raise NonPureError(f"facet sizes differ: {sorted(sizes)}")
     return Complex(frozenset(normalized))

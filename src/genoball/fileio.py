@@ -14,7 +14,14 @@ from pathlib import Path
 
 from .complexes import Complex, from_facets
 
-__all__ = ["FileFormatError", "complex_from_obj", "complex_to_obj", "load_complex", "save_complex"]
+__all__ = [
+    "FileFormatError",
+    "complex_from_obj",
+    "complex_to_obj",
+    "load_json",
+    "load_complex",
+    "save_complex",
+]
 
 _ALLOWED_KEYS = {"n", "facets", "name"}
 
@@ -60,16 +67,21 @@ def complex_to_obj(C: Complex, name: str | None = None) -> dict:
     return obj
 
 
-def load_complex(path: str | Path) -> tuple[Complex, str | None]:
-    """Read a facet file; raises FileFormatError on malformed content."""
-    text = Path(path).read_text(encoding="utf-8")
+def load_json(path: str | Path) -> object:
+    """Read one UTF-8 JSON file; bad content is a FileFormatError naming the path."""
     try:
-        obj = json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not valid UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise FileFormatError(f"{path}: JSON nested too deeply") from exc
-    return complex_from_obj(obj)
+
+
+def load_complex(path: str | Path) -> tuple[Complex, str | None]:
+    """Read a facet file; raises FileFormatError on malformed content."""
+    return complex_from_obj(load_json(path))
 
 
 def _dumps(obj: dict) -> str:

@@ -18,9 +18,11 @@ combinatorial route for small indices.  Every result is exact.  The
 series, odd-recursion and Bernoulli routes work in ``int`` over one common
 denominator each (the fraction-free approach of Brent and Harvey, "Fast
 computation of Bernoulli, Tangent and Secant numbers", arXiv:1108.0286),
-so no step reduces a fraction; every division they make must leave no
-remainder, and `_exact_div` raises SelfCheckError if one does.  The
-even recursion and the identity residuals use ``fractions.Fraction``.
+so no step reduces a fraction.  The even recursion is integral already
+except for its halving, a checked exact division by 2.  Every division
+any route makes must leave no remainder, and `_exact_div` raises
+SelfCheckError if one does.  The identity residuals use
+``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ __all__ = [
 #: The only nonzero odd-index Genocchi number: 2t/(e^t+1) = t + even terms.
 G1 = 1
 
-#: Largest n accepted by dumont_count unless the caller raises the limit
-#: (n = 5 means enumerating 10! ~ 3.6M permutations).
+#: Largest n accepted by dumont_count (n = 5 means enumerating
+#: 10! ~ 3.6M permutations).
 DEFAULT_DUMONT_LIMIT = 5
 
 
@@ -82,12 +84,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise SelfCheckError(f"{what} must be an integer, got {value}")
-    return value.numerator
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -190,13 +186,15 @@ def genocchi_by_series(N: int) -> GenocchiTable:
 
 
 def genocchi_by_recursion_even(N: int) -> GenocchiTable:
-    """G_2 .. G_{2N} via G_{2n} = -n - (1/2) sum_{k=1}^{n-1} C(2n, 2k) G_{2k}."""
+    """G_2 .. G_{2N} via G_{2n} = -n - (1/2) sum_{k=1}^{n-1} C(2n, 2k) G_{2k}.
+
+    Computed as (-2n - sum_k C(2n, 2k) G_{2k}) / 2, checked to be exact.
+    """
     _require_positive(N)
     values: dict[int, int] = {}
     for n in range(1, N + 1):
         acc = sum(binomial(2 * n, 2 * k) * values[2 * k] for k in range(1, n))
-        g = Fraction(-n) - Fraction(acc, 2)
-        values[2 * n] = _as_int(g, f"G_{2 * n}")
+        values[2 * n] = _exact_div(-2 * n - acc, 2, f"G_{2 * n}")
     return GenocchiTable(max_index=2 * N, values=values, method="recursion-even")
 
 
@@ -270,20 +268,17 @@ def genocchi_by_bernoulli(N: int) -> GenocchiTable:
     return GenocchiTable(max_index=2 * N, values=values, method="bernoulli")
 
 
-def dumont_count(n: int, limit: int = DEFAULT_DUMONT_LIMIT) -> int:
+def dumont_count(n: int) -> int:
     """Count permutations tau of {1, ..., 2n} with tau(i) > i exactly at odd i.
 
     Exhaustive enumeration of all (2n)! permutations; the count equals
-    |G_{2n+2}|.  ``limit`` caps n because the enumeration is factorial
-    (the default allows 10! ~ 3.6M permutations, a few seconds).
+    |G_{2n+2}|.  n is capped at DEFAULT_DUMONT_LIMIT because the
+    enumeration is factorial (10! ~ 3.6M permutations, a few seconds).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > limit:
-        raise ValueError(
-            f"n = {n} exceeds the brute-force limit {limit}; "
-            f"raise `limit` explicitly to enumerate (2n)! permutations"
-        )
+    if n > DEFAULT_DUMONT_LIMIT:
+        raise ValueError(f"n = {n} exceeds the brute-force limit {DEFAULT_DUMONT_LIMIT}")
     size = 2 * n
     positions = range(size)
     # 1-based position i = pos + 1 is odd exactly when pos is even.

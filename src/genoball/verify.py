@@ -11,7 +11,9 @@ boundary counts:
     f_k(int B) = -f_k(bd B)/2
         - sum_{i=1}^{n-k-1} ((-1)^{n+k+i}/2) C(k+1+i, k+1) f_{k+i}(int B);
 * for balls with no interior faces of dimension <= e and any k <= e, the
-  boundary-only consequence equating the two Genocchi-weighted sums.
+  boundary-only consequence equating the two Genocchi-weighted sums: the
+  Genocchi identity at f_k(int B) = 0, whose residual is the negated
+  Genocchi residual.
 
 Every residual is an exact Fraction; a pass means literal equality with 0.
 No floating point appears anywhere on the verification path.
@@ -116,24 +118,19 @@ def no_interior_faces_residual(
 ) -> Fraction:
     """Residual of the boundary-only identity for interior-free dimensions.
 
-    With f_k(int B) = 0 the Genocchi identity decouples into
+    This is the Genocchi identity at f_k(int B) = 0, which decouples into
         sum_i (G_{2i}/(2i)) C(k+2i-1, k+1) f_{k+2i-2}(bd B)
       = sum_i (G_{2i}/(2i)) C(k+2i, k+1)   f_{k+2i-1}(int B),
-    both sums over 1 <= i <= floor((n-k)/2).  Returns left minus right.
+    both sums over 1 <= i <= floor((n-k)/2).  Returns left minus right,
+    which is the negated Genocchi residual.  Requires n - k even,
+    0 <= k <= n and f_k(int B) = 0.
     """
     _require_even_gap(n, k)
     if interior[k] != 0:
         raise PreconditionError(
             f"identity needs f_{k}(int B) = 0, got {interior[k]}"
         )
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for i in range(1, (n - k) // 2 + 1):
-        c_bd, c_int = _checked_binomials(k, i)
-        weight = Fraction(table.genocchi(2 * i), 2 * i)
-        lhs += weight * c_bd * boundary[k + 2 * i - 2]
-        rhs += weight * c_int * interior[k + 2 * i - 1]
-    return lhs - rhs
+    return -genocchi_identity_residual(k, interior, boundary, n, table)
 
 
 def max_interior_free_dimension(interior: FVector) -> int:

@@ -72,7 +72,6 @@ def reference_census(C):
     f_int = tuple(a - b for a, b in zip(f, f_bd_padded))
     report = BallCheckReport(
         n=n,
-        is_pure=True,
         ridge_incidence_ok=overflow is None,
         has_boundary=bool(ridges),
         dual_graph_connected=reference_dual_connected(C.facets, n, incidence),

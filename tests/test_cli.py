@@ -354,6 +354,21 @@ def test_deeply_nested_facet_file_is_input_error(tmp_path, capsys, command):
     assert "nested too deeply" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "{path}"], ["fvector", "{path}"], ["verify", "--corpus", "--grid", "{path}"]],
+    ids=["verify", "fvector", "grid"],
+)
+@pytest.mark.parametrize("content", [b"{", b"\xff\xfe"], ids=["invalid-json", "not-utf8"])
+def test_unreadable_json_names_the_file(tmp_path, capsys, argv, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run([arg.format(path=path) for arg in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: not valid ")
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(["no-such-command"], capsys)
     assert code == 2

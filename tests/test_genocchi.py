@@ -91,6 +91,12 @@ class TestRecursionEven:
     def test_g12_matches_series(self):
         assert genocchi_by_recursion_even(6).values[12] == 2073
 
+    def test_halving_is_checked(self, monkeypatch):
+        # C(4, 2) + 1 = 7 makes G_4 = -2 - (1/2)(7 * (-1)) = 3/2
+        monkeypatch.setattr(genocchi, "binomial", lambda n, k: math.comb(n, k) + 1)
+        with pytest.raises(SelfCheckError, match=r"^G_4 must be an integer, got 3/2$"):
+            genocchi_by_recursion_even(2)
+
 
 class TestRecursionOdd:
     def test_empty_sum(self):
@@ -189,12 +195,6 @@ class TestDumont:
     def test_bound_rejected(self):
         with pytest.raises(ValueError):
             dumont_count(DEFAULT_DUMONT_LIMIT + 1)
-
-    def test_bound_overridable(self):
-        # a *lower* limit also applies; raising it is the caller's choice
-        with pytest.raises(ValueError):
-            dumont_count(3, limit=2)
-        assert dumont_count(3, limit=3) == 17
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):

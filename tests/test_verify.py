@@ -1,11 +1,14 @@
 """Identity verifier: hand-evaluated residuals and whole-ball reports."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from genoball.complexes import from_facets
+from genoball.complexes import FVector, from_facets
 from genoball.generators import (
     barycentric_subdivision,
     boundary_sphere,
@@ -36,6 +39,33 @@ def table():
 
 def _vectors(ball):
     return ball.interior_f_vector(), ball.boundary().f_vector()
+
+
+def _ref_no_interior_faces_residual(k, interior, boundary, n, table):
+    """Reference: the boundary-only residual as two separate weighted sums."""
+    lhs = Fraction(0)
+    rhs = Fraction(0)
+    for i in range(1, (n - k) // 2 + 1):
+        weight = Fraction(table.genocchi(2 * i), 2 * i)
+        lhs += weight * math.comb(k + 2 * i - 1, k + 1) * boundary[k + 2 * i - 2]
+        rhs += weight * math.comb(k + 2 * i, k + 1) * interior[k + 2 * i - 1]
+    return lhs - rhs
+
+
+REFERENCE_TABLE = genocchi_by_recursion_even(7)
+
+
+@st.composite
+def _interior_free_cases(draw):
+    """(k, interior, boundary, n): arbitrary counts with f_k(int) = 0, n - k even."""
+    n = draw(st.integers(1, 14))
+    k = draw(st.sampled_from(range(n % 2, n + 1, 2)))
+    counts = st.integers(0, 10**6)
+    interior = draw(st.lists(counts, min_size=n, max_size=n))
+    if k < n:
+        interior[k] = 0
+    boundary = draw(st.lists(counts, min_size=n - 1, max_size=n - 1))
+    return k, FVector(n, tuple(interior)), FVector(n - 1, tuple(boundary)), n
 
 
 class TestGenocchiIdentity:
@@ -124,6 +154,30 @@ class TestNoInteriorFaces:
         interior, boundary = _vectors(cone)  # interior vertex: f_0(int) = 1
         with pytest.raises(PreconditionError):
             no_interior_faces_residual(0, interior, boundary, 4, table)
+
+    @pytest.mark.parametrize("k", [-2, 6])
+    def test_k_range_enforced(self, table, k):
+        # n - k is even and f_k(int B) reads 0 outside 0..n-1, so only the
+        # range check of the Genocchi residual can refuse these
+        interior, boundary = _vectors(simplex_ball(4))
+        with pytest.raises(ValueError, match=r"k must be within 0\.\.4"):
+            no_interior_faces_residual(k, interior, boundary, 4, table)
+
+    # interior (0, 1, 0, 0), zero boundary: the Genocchi residual is
+    # 0 - (-1/2)(0 - C(2,1)*1) = -1, so this residual is 1
+    NONZERO_CASE = (0, FVector(4, (0, 1, 0, 0)), FVector(3, (0, 0, 0)), 4)
+
+    def test_nonzero_case_is_nonzero(self, table):
+        assert _ref_no_interior_faces_residual(*self.NONZERO_CASE, table) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_interior_free_cases())
+    @example(case=NONZERO_CASE)
+    def test_matches_two_sum_reference(self, case):
+        # most random vectors are no ball's, so most residuals are nonzero
+        assert no_interior_faces_residual(*case, REFERENCE_TABLE) == (
+            _ref_no_interior_faces_residual(*case, REFERENCE_TABLE)
+        )
 
 
 class TestInteriorFreeDimension:
