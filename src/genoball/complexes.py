@@ -95,8 +95,9 @@ class BallCheckReport:
     facet-adjacency graph, and the two Euler characteristics.  A genuine
     (n-1)-ball has euler_char_ball = 1 and euler_char_boundary =
     1 + (-1)^n.  Purity is not a field: building a :class:`Complex` from
-    facets of mixed sizes already raises NonPureError.  Passing the
-    screen does NOT prove ball-ness; failing it disproves it.
+    facets of mixed sizes already raises NonPureError.  ``ok`` means
+    :meth:`failures` is empty, so the conditions are stated once.  Passing
+    the screen does NOT prove ball-ness; failing it disproves it.
     """
 
     n: int
@@ -108,13 +109,7 @@ class BallCheckReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.ridge_incidence_ok
-            and self.has_boundary
-            and self.dual_graph_connected
-            and self.euler_char_ball == 1
-            and self.euler_char_boundary == 1 + (-1) ** self.n
-        )
+        return not self.failures()
 
     def failures(self) -> list[str]:
         """Human-readable list of the conditions that failed."""
@@ -189,10 +184,6 @@ class Complex:
 
     def __repr__(self) -> str:
         return f"Complex(n={self.n}, facets={len(self.facets)})"
-
-    @property
-    def dim(self) -> int:
-        return self.n - 1
 
     @property
     def vertices(self) -> tuple[int, ...]:

@@ -5,6 +5,11 @@
 ``n`` is the number of vertices per facet; ``facets`` holds strictly
 increasing arrays of positive integers, all of length n; ``name`` is
 optional.  Unknown fields are rejected so a file means one thing only.
+
+These format checks are the only validation a file gets: a nonempty
+array of length-n, strictly increasing facets of positive ``int`` ids is
+already nonempty, pure, sorted and free of repeated vertices, so the
+facets become a :class:`Complex` as they are, without ``from_facets``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .complexes import Complex, from_facets
+from .complexes import Complex
 
 __all__ = [
     "FileFormatError",
@@ -56,7 +61,7 @@ def complex_from_obj(obj: object) -> tuple[Complex, str | None]:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise FileFormatError(f'"name" must be a string, got {name!r}')
-    return from_facets(facets), name
+    return Complex(frozenset(map(tuple, facets))), name
 
 
 def complex_to_obj(C: Complex, name: str | None = None) -> dict:

@@ -171,5 +171,5 @@ def barycentric_subdivision(C: Complex) -> Complex:
     for facet in C.facets:
         for order in itertools.permutations(facet):
             chain = [vid[tuple(sorted(order[:size]))] for size in range(1, C.n + 1)]
-            new_facets.append(sorted(chain))
+            new_facets.append(chain)
     return from_facets(new_facets)

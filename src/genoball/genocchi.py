@@ -36,7 +36,7 @@ from typing import Mapping
 
 __all__ = [
     "G1",
-    "DEFAULT_DUMONT_LIMIT",
+    "DUMONT_LIMIT",
     "SelfCheckError",
     "InsufficientTableError",
     "GenocchiTable",
@@ -57,7 +57,7 @@ G1 = 1
 
 #: Largest n accepted by dumont_count (n = 5 means enumerating
 #: 10! ~ 3.6M permutations).
-DEFAULT_DUMONT_LIMIT = 5
+DUMONT_LIMIT = 5
 
 
 class SelfCheckError(ArithmeticError):
@@ -272,13 +272,13 @@ def dumont_count(n: int) -> int:
     """Count permutations tau of {1, ..., 2n} with tau(i) > i exactly at odd i.
 
     Exhaustive enumeration of all (2n)! permutations; the count equals
-    |G_{2n+2}|.  n is capped at DEFAULT_DUMONT_LIMIT because the
-    enumeration is factorial (10! ~ 3.6M permutations, a few seconds).
+    |G_{2n+2}|.  n is capped at DUMONT_LIMIT because the enumeration
+    is factorial (10! ~ 3.6M permutations, a few seconds).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > DEFAULT_DUMONT_LIMIT:
-        raise ValueError(f"n = {n} exceeds the brute-force limit {DEFAULT_DUMONT_LIMIT}")
+    if n > DUMONT_LIMIT:
+        raise ValueError(f"n = {n} exceeds the brute-force limit {DUMONT_LIMIT}")
     size = 2 * n
     positions = range(size)
     # 1-based position i = pos + 1 is odd exactly when pos is even.

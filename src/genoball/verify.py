@@ -189,11 +189,7 @@ class VerificationReport:
 
 def format_residual(value: Fraction) -> str:
     """Canonical text form: "0", or "p/q" with q > 0 and gcd(p, q) = 1."""
-    if value == 0:
-        return "0"
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value)
 
 
 def verify_ball(
@@ -205,26 +201,28 @@ def verify_ball(
     is refused outright (BallCheckError) rather than reported pass/fail.
     Checks cover every k with 0 <= k <= n-2 and n - k even, plus the
     trivially satisfied top case k = n, plus the boundary-only identity
-    for every even-gap k up to the detected interior-free dimension.
+    for every even-gap k up to the detected interior-free dimension e.
+    Each Genocchi sum is evaluated once: at k <= e, where f_k(int B) = 0,
+    the boundary-only residual is the negated Genocchi residual.
     """
     census = C.census()
     if not census.report.ok:
         raise BallCheckError("; ".join(census.report.failures()))
     n = C.n
     interior, boundary = census.f_interior, census.f_boundary
-    even_gap_ks = [k for k in range(0, n - 1) if (n - k) % 2 == 0]
+    e = max_interior_free_dimension(interior)
     checks: list[IdentityCheck] = []
-    for k in even_gap_ks:
-        checks.append(
-            IdentityCheck(
-                "genocchi", k, genocchi_identity_residual(k, interior, boundary, n, table)
-            )
-        )
+    boundary_only: list[IdentityCheck] = []
+    for k in range(n % 2, n - 1, 2):
+        residual = genocchi_identity_residual(k, interior, boundary, n, table)
+        checks.append(IdentityCheck("genocchi", k, residual))
         checks.append(
             IdentityCheck(
                 "dehn-sommerville", k, dehn_sommerville_residual(k, interior, boundary, n)
             )
         )
+        if k <= e:
+            boundary_only.append(IdentityCheck("no-interior-faces", k, -residual))
     checks.append(
         IdentityCheck(
             "genocchi",
@@ -233,14 +231,5 @@ def verify_ball(
             trivial=True,
         )
     )
-    e = max_interior_free_dimension(interior)
-    for k in even_gap_ks:
-        if k <= e:
-            checks.append(
-                IdentityCheck(
-                    "no-interior-faces",
-                    k,
-                    no_interior_faces_residual(k, interior, boundary, n, table),
-                )
-            )
+    checks.extend(boundary_only)
     return VerificationReport(n=n, checks=tuple(checks), name=name)

@@ -6,14 +6,17 @@ mismatch (a failed self-check included), 2 = input/usage error.
 
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from genoball import cli, genocchi, verify
 from genoball.corpus import corpus_balls
 from genoball.fileio import load_complex, save_complex
-from genoball.generators import simplex_ball
+from genoball.generators import simplex_ball, stacked_ball
 from genoball.verify import IdentityCheck, VerificationReport
 
 
@@ -333,6 +336,23 @@ class TestVerifyCommand:
         assert code == 1
         assert "residual=1/2 FAIL" in out
 
+    def test_corrupted_table_fails_boundary_only_identity(self, tmp_path, capsys, monkeypatch):
+        def corrupted(N):
+            table = genocchi.genocchi_by_recursion_even(N)
+            values = {**table.values, 4: table.values[4] + 1}
+            return genocchi.GenocchiTable(table.max_index, values, "corrupted")
+
+        monkeypatch.setattr(cli, "genocchi_by_recursion_even", corrupted)
+        path = tmp_path / "stacked.json"
+        save_complex(stacked_ball(4, 5, 1), path)
+        code, out, _ = run(["verify", str(path)], capsys)
+        assert code == 1
+        assert any(
+            line.split()[0] == "no-interior-faces" and line.endswith(" FAIL")
+            for line in out.splitlines()[1:-1]
+        )
+        assert out.splitlines()[-1] == "NONZERO RESIDUAL FOUND"
+
     def test_self_check_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         # a binomial that is not symmetric trips verify._checked_binomials
         monkeypatch.setattr(verify, "binomial", lambda n, k: math.comb(n, k) + k)
@@ -372,3 +392,27 @@ def test_unreadable_json_names_the_file(tmp_path, capsys, argv, content):
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(["no-such-command"], capsys)
     assert code == 2
+
+
+STDLIB_ONLY_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+assert not any("site-packages" in p for p in sys.path), sys.path
+from genoball import cli
+codes = [cli.main(["genocchi", "3"]), cli.main(["verify", "--corpus", "--max-n", "3"])]
+sys.exit(0 if codes == [0, 0] else 1)
+"""
+
+
+def test_runs_on_the_standard_library_alone():
+    # -I -S: no site-packages, no user site, no PYTHONPATH; only src/ is added
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", STDLIB_ONLY_CHILD, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "cross-check: OK" in result.stdout
+    assert "all residuals zero" in result.stdout

@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from genoball.complexes import from_facets
 from genoball.fileio import (
     FileFormatError,
     complex_from_obj,
@@ -92,3 +95,20 @@ def test_deterministic_bytes(tmp_path):
     save_complex(stacked_ball(5, 7, 3), a, name="x")
     save_complex(stacked_ball(5, 7, 3), b, name="x")
     assert a.read_bytes() == b.read_bytes()
+
+
+@st.composite
+def _valid_facet_objects(draw):
+    n = draw(st.integers(1, 5))
+    facet = st.lists(st.integers(1, 12), min_size=n, max_size=n, unique=True).map(sorted)
+    return {"n": n, "facets": draw(st.lists(facet, min_size=1, max_size=8))}
+
+
+@given(_valid_facet_objects())
+def test_valid_objects_build_the_same_complex_as_from_facets(obj):
+    ball, _ = complex_from_obj(obj)
+    assert ball == from_facets(obj["facets"])
+    assert all(
+        type(facet) is tuple and all(type(v) is int for v in facet)
+        for facet in ball.facets
+    )

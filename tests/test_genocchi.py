@@ -13,7 +13,7 @@ import pytest
 
 from genoball import genocchi
 from genoball.genocchi import (
-    DEFAULT_DUMONT_LIMIT,
+    DUMONT_LIMIT,
     G1,
     GenocchiTable,
     InsufficientTableError,
@@ -194,7 +194,7 @@ class TestDumont:
 
     def test_bound_rejected(self):
         with pytest.raises(ValueError):
-            dumont_count(DEFAULT_DUMONT_LIMIT + 1)
+            dumont_count(DUMONT_LIMIT + 1)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from genoball import verify
 from genoball.complexes import FVector, from_facets
 from genoball.generators import (
     barycentric_subdivision,
@@ -17,7 +18,11 @@ from genoball.generators import (
     sphere_minus_facet,
     stacked_ball,
 )
-from genoball.genocchi import InsufficientTableError, genocchi_by_recursion_even
+from genoball.genocchi import (
+    GenocchiTable,
+    InsufficientTableError,
+    genocchi_by_recursion_even,
+)
 from genoball.verify import (
     BallCheckError,
     ParityError,
@@ -274,6 +279,88 @@ class TestVerifyBall:
             "dehn-sommerville",
             "no-interior-faces",
         }
+
+
+def _corrupted_table(N):
+    """G_2 .. G_2N with G_4 off by one: no genuine ball gives zero residuals."""
+    table = genocchi_by_recursion_even(N)
+    values = dict(table.values)
+    values[4] += 1
+    return GenocchiTable(max_index=table.max_index, values=values, method="corrupted")
+
+
+def _expected_checks(ball, table):
+    """Every check of a report from the three public residual functions, in order."""
+    interior, boundary = _vectors(ball)
+    n = ball.n
+    ks = [k for k in range(n - 1) if (n - k) % 2 == 0]
+    out = []
+    for k in ks:
+        out.append(("genocchi", k, genocchi_identity_residual(k, interior, boundary, n, table)))
+        out.append(("dehn-sommerville", k, dehn_sommerville_residual(k, interior, boundary, n)))
+    out.append(("genocchi", n, genocchi_identity_residual(n, interior, boundary, n, table)))
+    e = max_interior_free_dimension(interior)
+    for k in ks:
+        if k <= e:
+            out.append(
+                ("no-interior-faces", k,
+                 no_interior_faces_residual(k, interior, boundary, n, table))
+            )
+    return out
+
+
+class TestVerifyBallResiduals:
+    """verify_ball reports the public residuals, also when they are nonzero."""
+
+    @pytest.mark.parametrize(
+        "ball",
+        [stacked_ball(4, 5, 1), stacked_ball(6, 5, 1)],
+        ids=["stacked-n4", "stacked-n6"],
+    )
+    def test_corrupted_table_stacked(self, ball):
+        table = _corrupted_table(3)
+        checks = [(c.identity, c.k, c.residual) for c in verify_ball(ball, table).checks]
+        assert checks == _expected_checks(ball, table)
+        assert any(
+            identity == "no-interior-faces" and residual != 0
+            for identity, _, residual in checks
+        )
+
+    def test_corrupted_table_subdivided(self):
+        ball = barycentric_subdivision(stacked_ball(4, 3, 1))
+        table = _corrupted_table(2)
+        report = verify_ball(ball, table)
+        assert [(c.identity, c.k, c.residual) for c in report.checks] == _expected_checks(
+            ball, table
+        )
+        assert not report.passed
+
+    @pytest.mark.parametrize(
+        "ball",
+        [
+            simplex_ball(6),
+            stacked_ball(5, 6, 1),
+            barycentric_subdivision(stacked_ball(4, 3, 1)),
+            from_facets([[1]]),
+        ],
+        ids=["simplex-n6", "stacked-n5", "sd-stacked-n4", "point"],
+    )
+    def test_one_genocchi_sum_per_k(self, ball, table, monkeypatch):
+        calls = []
+        original = verify.genocchi_identity_residual
+
+        def counted(k, *args):
+            calls.append(k)
+            return original(k, *args)
+
+        def forbidden(*args):
+            raise AssertionError("verify_ball must not re-evaluate the Genocchi sum")
+
+        monkeypatch.setattr(verify, "genocchi_identity_residual", counted)
+        monkeypatch.setattr(verify, "no_interior_faces_residual", forbidden)
+        verify_ball(ball, table)
+        n = ball.n
+        assert calls == [k for k in range(n - 1) if (n - k) % 2 == 0] + [n]
 
 
 class TestRequiredTableSize:
