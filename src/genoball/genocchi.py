@@ -21,8 +21,11 @@ computation of Bernoulli, Tangent and Secant numbers", arXiv:1108.0286),
 so no step reduces a fraction.  The even recursion is integral already
 except for its halving, a checked exact division by 2.  Every division
 any route makes must leave no remainder, and `_exact_div` raises
-SelfCheckError if one does.  The identity residuals use
-``fractions.Fraction``.
+SelfCheckError if one does.  The binomial weights of the two recursions
+and of the Bernoulli convolution come from Pascal's triangle, one row at
+a time (`_binomial_rows`); no route calls `binomial` or ``math.comb``,
+and the series route uses no binomials at all.  The identity residuals
+use ``fractions.Fraction`` and `binomial`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 __all__ = [
     "G1",
@@ -84,6 +87,20 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def _binomial_rows(top: int) -> Iterator[list[int]]:
+    """Rows 0 .. top of Pascal's triangle: row m is [C(m, 0), ..., C(m, m)].
+
+    Each row is built from the one before by Pascal's rule, so a route that
+    walks the rows in order pays one addition per binomial instead of a
+    fresh C(m, j).  Only the current row is kept.  Requires top >= 0.
+    """
+    row = [1]
+    yield row
+    for _ in range(top):
+        row = [1, *map(operator.add, row, row[1:]), 1]
+        yield row
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -189,12 +206,15 @@ def genocchi_by_recursion_even(N: int) -> GenocchiTable:
     """G_2 .. G_{2N} via G_{2n} = -n - (1/2) sum_{k=1}^{n-1} C(2n, 2k) G_{2k}.
 
     Computed as (-2n - sum_k C(2n, 2k) G_{2k}) / 2, checked to be exact.
+    Step n reads its weights C(2n, 2k) from row 2n of Pascal's triangle.
     """
     _require_positive(N)
-    values: dict[int, int] = {}
-    for n in range(1, N + 1):
-        acc = sum(binomial(2 * n, 2 * k) * values[2 * k] for k in range(1, n))
-        values[2 * n] = _exact_div(-2 * n - acc, 2, f"G_{2 * n}")
+    G = [0]  # G[k] = G_{2k}; G[0] is never read
+    rows = itertools.islice(_binomial_rows(2 * N), 2, None, 2)
+    for n, row in enumerate(rows, start=1):
+        acc = sum(map(operator.mul, row[2 : 2 * n : 2], G[1:n]))
+        G.append(_exact_div(-2 * n - acc, 2, f"G_{2 * n}"))
+    values = {2 * k: G[k] for k in range(1, N + 1)}
     return GenocchiTable(max_index=2 * N, values=values, method="recursion-even")
 
 
@@ -204,19 +224,21 @@ def genocchi_by_recursion_odd(N: int) -> GenocchiTable:
     Step n sums over the common denominator L = lcm(2, 4, ..., 2n-2)
     (L = 1 for n = 1): G_{2n} = (-L - sum_k C(2n, 2k-1) G_{2k} (L/(2k))) / L.
     The weights L/(2k) and the one division by L per step are checked to
-    be exact.
+    be exact.  Step n reads C(2n, 2k-1) from row 2n of Pascal's triangle.
     """
     _require_positive(N)
-    values: dict[int, int] = {}
+    G = [0]  # G[k] = G_{2k}; G[0] is never read
     L = 1
-    for n in range(1, N + 1):
+    rows = itertools.islice(_binomial_rows(2 * N), 2, None, 2)
+    for n, row in enumerate(rows, start=1):
         if n > 1:
             L = math.lcm(L, 2 * n - 2)
         acc = -L
         for k in range(1, n):
             weight = _exact_div(L, 2 * k, f"lcm(2..{2 * n - 2}) / {2 * k}")
-            acc -= binomial(2 * n, 2 * k - 1) * values[2 * k] * weight
-        values[2 * n] = _exact_div(acc, L, f"G_{2 * n}")
+            acc -= row[2 * k - 1] * G[k] * weight
+        G.append(_exact_div(acc, L, f"G_{2 * n}"))
+    values = {2 * k: G[k] for k in range(1, N + 1)}
     return GenocchiTable(max_index=2 * N, values=values, method="recursion-odd")
 
 
@@ -226,12 +248,14 @@ def _scaled_bernoulli(M: int) -> tuple[int, list[int]]:
     The convolution sum_{j=0}^{m} C(m+1, j) B_j = 0, multiplied by D,
     gives b_m = -(sum_{j<m} C(m+1, j) b_j) / (m+1), a division checked
     to be exact.  It is exact because the denominator of B_m divides
-    (m+1)! (von Staudt-Clausen), which divides D.
+    (m+1)! (von Staudt-Clausen), which divides D.  Step m reads C(m+1, j)
+    from row m+1 of Pascal's triangle.
     """
     D = math.factorial(M + 1)
     b = [D]
-    for m in range(1, M + 1):
-        acc = sum(binomial(m + 1, j) * b[j] for j in range(m))
+    rows = itertools.islice(_binomial_rows(M + 1), 2, None)
+    for m, row in enumerate(rows, start=1):
+        acc = sum(map(operator.mul, row[:m], b))
         b.append(_exact_div(-acc, m + 1, f"B_{m} (M+1)!"))
     return D, b
 
@@ -242,8 +266,8 @@ def bernoulli(M: int) -> BernoulliTable:
     Solving the convolution for B_m with B_0 = 1 forces B_1 = -1/2 (the
     convention under which the Genocchi scaling below holds) and B_m = 0
     for odd m >= 3.  The convolution runs in integers over the common
-    denominator (M+1)!, with each division by m+1 checked to be exact;
-    the values are returned as reduced Fractions.
+    denominator (M+1)!, with weights from Pascal rows and each division by
+    m+1 checked to be exact; the values are returned as reduced Fractions.
     """
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")

@@ -4,6 +4,8 @@ Exit codes: 0 = all identities hold, 1 = nonzero residual or cross-check
 mismatch (a failed self-check included), 2 = input/usage error.
 """
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -12,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genoball import cli, genocchi, verify
 from genoball.corpus import corpus_balls
@@ -71,7 +75,10 @@ class TestGenocchiCommand:
         assert "cross-check" not in out
 
     def test_wrong_binomial_exits_one_without_traceback(self, capsys, monkeypatch):
-        monkeypatch.setattr(genocchi, "binomial", lambda n, k: math.comb(n + 1, k))
+        def shifted_rows(top):  # row m holds C(m + 1, j) in place of C(m, j)
+            return ([math.comb(m + 1, j) for j in range(m + 1)] for m in range(top + 1))
+
+        monkeypatch.setattr(genocchi, "_binomial_rows", shifted_rows)
         code, _, err = run(["genocchi", "6"], capsys)
         assert code == 1
         assert "Traceback" not in err
@@ -392,6 +399,98 @@ def test_unreadable_json_names_the_file(tmp_path, capsys, argv, content):
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(["no-such-command"], capsys)
     assert code == 2
+
+
+# Values of the wrong JSON type for any field of a facet file.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(-2, 16),
+    st.text(max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(0, 3), max_size=1),
+)
+_FACET_FLAWS = ["unsorted", "short", "long", "repeat", "bad-id", "junk-id", "junk"]
+_FILE_FLAWS = ["wrong-n", "junk-n", "junk-facets", "empty", "missing", "unknown", "junk-name"]
+
+
+@st.composite
+def _facet_file_objects(draw):
+    """A facet file, or something close to one: n <= 6, at most 12 facets,
+    vertex ids in -1..15, with a few wrong types, unsorted or wrongly sized
+    facets, and unknown keys mixed in."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.one_of(_JUNK, st.lists(st.integers(-1, 15), max_size=3)))
+    n = draw(st.integers(1, 6))
+    facets = []
+    for _ in range(draw(st.integers(1, 12))):
+        facet = sorted(draw(st.sets(st.integers(1, 15), min_size=n, max_size=n)))
+        flaw = draw(st.sampled_from([None] * 30 + _FACET_FLAWS))
+        if flaw == "unsorted" and n > 1:
+            facet.reverse()
+        elif flaw == "short":
+            facet.pop()
+        elif flaw == "long":
+            facet.append(facet[-1] + 1)
+        elif flaw == "repeat" and n > 1:
+            facet[1] = facet[0]
+        elif flaw == "bad-id":
+            facet[0] = draw(st.integers(-1, 0))
+        elif flaw == "junk-id":
+            facet[-1] = draw(_JUNK)
+        elif flaw == "junk":
+            facet = draw(_JUNK)
+        facets.append(facet)
+    obj = {"n": n, "facets": facets}
+    if draw(st.booleans()):
+        obj["name"] = draw(st.text(max_size=4))
+    for flaw in draw(st.sets(st.sampled_from(_FILE_FLAWS), max_size=2)):
+        if flaw == "wrong-n":
+            obj["n"] = draw(st.integers(-1, 6))
+        elif flaw == "junk-n":
+            obj["n"] = draw(_JUNK)
+        elif flaw == "junk-facets":
+            obj["facets"] = draw(_JUNK)
+        elif flaw == "empty":
+            obj["facets"] = []
+        elif flaw == "missing":
+            del obj[draw(st.sampled_from(["n", "facets"]))]
+        elif flaw == "unknown":
+            obj[draw(st.sampled_from(["N", "extra", "facet"]))] = draw(_JUNK)
+        else:
+            obj["name"] = draw(_JUNK)
+    return obj
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(obj=_facet_file_objects())
+def test_bad_facet_files_keep_the_exit_code_contract(tmp_path_factory, obj):
+    file = tmp_path_factory.getbasetemp() / "fuzz-input.json"
+    file.write_text(json.dumps(obj), encoding="utf-8")
+    path = str(file)
+    for argv in (["verify", path], ["verify", path, "--json"], ["fvector", path]):
+        code, out, err = _main_captured(argv)
+        assert code in (0, 1, 2), (argv, obj)
+        if code == 2:
+            assert err.startswith("error: "), (argv, obj)
+        if code != 1:
+            continue
+        # exit 1 only with evidence: a nonzero residual or a failed self-check
+        if err.startswith("error: self-check failed: "):
+            continue
+        if argv[0] == "fvector":
+            pytest.fail(f"fvector exit 1 without a self-check message: {obj!r}")
+        elif "--json" in argv:
+            entries = json.loads(out)["entries"]
+            assert any(e["residual_numerator"] != "0" for e in entries), obj
+        else:
+            assert "NONZERO RESIDUAL FOUND" in out, obj
 
 
 STDLIB_ONLY_CHILD = """

@@ -18,6 +18,7 @@ from genoball.genocchi import (
     GenocchiTable,
     InsufficientTableError,
     SelfCheckError,
+    _binomial_rows,
     _exact_div,
     bernoulli,
     binomial,
@@ -41,6 +42,11 @@ ALL_METHODS = [
 ]
 
 
+def _rows_from(entry):
+    """A stand-in for `genocchi._binomial_rows` whose row m is entry(m, j)."""
+    return lambda top: ([entry(m, j) for j in range(m + 1)] for m in range(top + 1))
+
+
 class TestBinomial:
     def test_small_pascal_value(self):
         assert binomial(4, 2) == 6
@@ -56,6 +62,31 @@ class TestBinomial:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             binomial(-1, 0)
+
+
+class TestBinomialRows:
+    @pytest.mark.parametrize("top", [0, 1, 2, 3, 17, 400])
+    def test_yields_top_plus_one_rows(self, top):
+        assert sum(1 for _ in _binomial_rows(top)) == top + 1
+
+    def test_rows_match_comb_through_400(self):
+        # row m does not depend on top, so top = 400 covers every top <= 400
+        for m, row in enumerate(_binomial_rows(400)):
+            assert row == [math.comb(m, j) for j in range(m + 1)], f"row {m}"
+
+    def test_no_route_calls_binomial_or_comb(self, monkeypatch):
+        expected = {route: route(30).values for route in ALL_METHODS}
+
+        def forbidden(*args):
+            raise AssertionError("a table route computed a binomial from scratch")
+
+        monkeypatch.setattr(genocchi, "binomial", forbidden)
+        fake_math = types.SimpleNamespace(
+            factorial=math.factorial, lcm=math.lcm, comb=forbidden
+        )
+        monkeypatch.setattr(genocchi, "math", fake_math)
+        for route, values in expected.items():
+            assert route(30).values == values, route.__name__
 
 
 class TestSeries:
@@ -93,7 +124,9 @@ class TestRecursionEven:
 
     def test_halving_is_checked(self, monkeypatch):
         # C(4, 2) + 1 = 7 makes G_4 = -2 - (1/2)(7 * (-1)) = 3/2
-        monkeypatch.setattr(genocchi, "binomial", lambda n, k: math.comb(n, k) + 1)
+        monkeypatch.setattr(
+            genocchi, "_binomial_rows", _rows_from(lambda n, k: math.comb(n, k) + 1)
+        )
         with pytest.raises(SelfCheckError, match=r"^G_4 must be an integer, got 3/2$"):
             genocchi_by_recursion_even(2)
 
@@ -362,7 +395,9 @@ class TestExactDivision:
     )
     def test_wrong_binomial_is_caught(self, monkeypatch, shift):
         expected_bernoulli = bernoulli(12).values
-        monkeypatch.setattr(genocchi, "binomial", lambda n, k: math.comb(*shift(n, k)))
+        monkeypatch.setattr(
+            genocchi, "_binomial_rows", _rows_from(lambda n, k: math.comb(*shift(n, k)))
+        )
         with pytest.raises(SelfCheckError, match="must be an integer"):
             genocchi_by_recursion_odd(6)
         # every division of the Bernoulli convolution stays exact here, so
