@@ -1,9 +1,12 @@
 """Pure simplicial complexes, f-vectors, boundaries, interior face counts.
 
-A complex is stored by its facet set alone; every lower face is recovered
-by explicit subset expansion with deduplication.  That is deliberate: the
-corpus lives at desk scale (at most ~10^6 faces) and exact, obviously
-correct counting beats clever closure algebra here.
+A complex is stored by its facet set alone.  Its census reads the top
+counts off the ridge -> facets map (facets, ridges, boundary ridges) and
+recovers every lower face by explicit subset expansion with
+deduplication: the complex's faces from all its facets, the boundary's
+from the facets that touch the boundary.  That is deliberate: the corpus
+lives at desk scale (at most ~10^6 faces) and exact, obviously correct
+counting beats clever closure algebra here.
 
 Faces are strictly increasing tuples of nonnegative integer vertex ids.
 The ambient parameter n is the number of vertices per facet, so a complex
@@ -138,7 +141,9 @@ class Census:
     ``f_interior`` is f - f_boundary componentwise.  ``boundary`` is the
     complex generated by the ridges in exactly one facet, or None when
     there is no such ridge or n < 2; then ``f_boundary`` is all zeros (and
-    empty for n = 1, where the boundary of a point has no faces).
+    empty for n = 1, where the boundary of a point has no faces).  The top
+    entries of ``f`` and ``f_boundary`` are counted off the ridge map, the
+    lower ones by expanding the facets; ``boundary`` is never expanded.
     ``ridge_overflow`` is the first ridge found in three or more facets,
     with its facet count, or None.  The f-vectors describe a ball only
     when ``report.ok``.
@@ -204,9 +209,11 @@ class Complex:
         """Everything ``verify`` and ``fvector`` need, computed once and cached.
 
         One pass over the facets builds the ridge -> facets map; the ridge
-        check, the boundary ridges and the facet-adjacency search all read
-        it.  The faces of this complex and of its boundary are expanded
-        once each.  Never raises.
+        check, the boundary ridges, the facet-adjacency search and the top
+        two counts of f and the top count of f(boundary) all read it.
+        Only dimensions 0..n-3 are expanded, each once: this complex's
+        through :meth:`faces`, the boundary's from the facets that hold a
+        boundary ridge.  Never raises.
         """
         census = self._census
         if census is None:
@@ -233,12 +240,17 @@ class Complex:
                         seen.add(nb)
                         queue.append(nb)
 
-        f = self.f_vector()
+        # f_{n-1} and f_{n-2} are read off the ridge map, whose only key for
+        # n = 1 is the empty face, which is not counted
+        lower = tuple(len(self.faces(d)) for d in range(n - 2))
+        ridges = (len(by_ridge),) if n >= 2 else ()
+        f = FVector(n, lower + ridges + (len(self.facets),))
         # for n = 1 the only ridge is the empty face: the boundary of a
         # point is the empty complex, which has no faces to count
         if boundary_ridges and n >= 2:
             boundary = Complex(boundary_ridges)
-            f_bd = boundary.f_vector()
+            lower_bd = _boundary_face_counts(by_ridge, boundary_ridges, n)
+            f_bd = FVector(n - 1, lower_bd + (len(boundary_ridges),))
         else:
             f_bd = FVector(n - 1, (0,) * (n - 1))
             boundary = None
@@ -294,6 +306,51 @@ class Complex:
     def relabeled(self, mapping: dict[int, int]) -> "Complex":
         """The same complex with vertex ids replaced through ``mapping``."""
         return from_facets([[mapping[v] for v in f] for f in self.facets])
+
+
+def _boundary_face_counts(
+    by_ridge: dict[Face, list[Face]], boundary_ridges: frozenset[Face], n: int
+) -> tuple[int, ...]:
+    """f_0 .. f_{n-3} of the complex generated by the boundary ridges.
+
+    ``by_ridge`` maps each ridge to its facets, so a boundary ridge maps to
+    the one facet that holds it.  For such a facet F let O(F) be the
+    vertices o with F - {o} a boundary ridge.  A face of F lies on the
+    boundary iff it misses some o in O(F), so F contributes its subsets
+    that do not contain O(F): the subsets of its lone boundary ridge when
+    |O(F)| = 1, every subset too small to contain O(F), and otherwise the
+    subsets of F less those containing O(F).  Faces shared between facets
+    are counted once.
+    """
+    ridges_of: dict[Face, list[Face]] = {}
+    for ridge in boundary_ridges:
+        ridges_of.setdefault(by_ridge[ridge][0], []).append(ridge)
+    lone = [ridges[0] for ridges in ridges_of.values() if len(ridges) == 1]
+    # (F, O(F), F - O(F)), both sorted, for facets with several boundary ridges
+    several = []
+    for facet, ridges in ridges_of.items():
+        if len(ridges) > 1:
+            common = set(ridges[0]).intersection(*ridges[1:])
+            omitted = tuple(v for v in facet if v not in common)
+            several.append((facet, omitted, tuple(v for v in facet if v in common)))
+    counts = []
+    for size in range(1, n - 1):
+        faces: set[Face] = set()
+        for ridge in lone:
+            faces.update(itertools.combinations(ridge, size))
+        for facet, omitted, rest in several:
+            subsets = itertools.combinations(facet, size)
+            if size < len(omitted):
+                faces.update(subsets)
+                continue
+            on_boundary = set(subsets)
+            on_boundary.difference_update(
+                tuple(sorted(omitted + extra))
+                for extra in itertools.combinations(rest, size - len(omitted))
+            )
+            faces.update(on_boundary)
+        counts.append(len(faces))
+    return tuple(counts)
 
 
 def from_facets(facet_lists: Iterable[Sequence[int]]) -> Complex:

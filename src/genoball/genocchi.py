@@ -235,7 +235,9 @@ def genocchi_by_recursion_odd(N: int) -> GenocchiTable:
             L = math.lcm(L, 2 * n - 2)
         acc = -L
         for k in range(1, n):
-            weight = _exact_div(L, 2 * k, f"lcm(2..{2 * n - 2}) / {2 * k}")
+            weight, remainder = divmod(L, 2 * k)
+            if remainder:  # raises; the message is built only here
+                _exact_div(L, 2 * k, f"lcm(2..{2 * n - 2}) / {2 * k}")
             acc -= row[2 * k - 1] * G[k] * weight
         G.append(_exact_div(acc, L, f"G_{2 * n}"))
     values = {2 * k: G[k] for k in range(1, N + 1)}

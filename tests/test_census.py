@@ -2,12 +2,16 @@
 
 The reference counts ridge incidence with a Counter, searches the
 facet-adjacency graph built from pairs of facets sharing a ridge, and
-takes f(boundary) from a boundary complex built afresh with from_facets.
-Every census field, and the errors of boundary(), must match it.
+takes f(boundary) from a boundary complex built afresh with from_facets
+and expanded in full.  Every census field, and the errors of boundary(),
+must match it.  The census itself expands only the ball's faces below its
+ridges and reads every other count off the ridge map or the facets that
+touch the boundary.
 """
 
 from collections import Counter, deque
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 
 from genoball.complexes import (
     BallCheckReport,
+    Complex,
     ComplexError,
     FVector,
     NoBoundaryError,
@@ -140,16 +145,17 @@ def test_spheres_and_balls_built_from_them(family, n):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.integers(1, 4).flatmap(
+    st.integers(1, 6).flatmap(
         lambda n: st.lists(
-            st.lists(st.integers(1, 7), min_size=n, max_size=n, unique=True),
+            st.lists(st.integers(1, 9), min_size=n, max_size=n, unique=True),
             min_size=1,
             max_size=12,
         )
     )
 )
 def test_arbitrary_facet_sets(facets):
-    # mostly not balls: overflowing, disconnected and closed complexes
+    # mostly not balls: overflowing, disconnected and closed complexes, and
+    # facets with several boundary ridges
     assert_census_matches_reference(from_facets(facets))
 
 
@@ -162,9 +168,12 @@ def test_arbitrary_facet_sets(facets):
         [[1]],
         [[1], [2]],
         [[1, 2, 3], [1, 2, 4], [1, 2, 5], [6, 7, 8]],
+        # vertex 1 lies on the boundary only through (1, 2), the lone
+        # boundary ridge of [1, 2, 3]
+        [[1, 2, 3], [1, 3, 4], [1, 3, 5], [1, 4, 5], [2, 3, 6]],
     ],
     ids=["ridge-overflow", "disconnected", "closed-sphere", "point", "two-points",
-         "overflow-and-disconnected"],
+         "overflow-and-disconnected", "vertex-on-a-lone-ridge"],
 )
 def test_screen_failures_and_points(facets):
     assert_census_matches_reference(from_facets(facets))
@@ -176,3 +185,59 @@ def test_point_census_folds_the_empty_boundary():
     assert census.boundary is None
     assert census.f_boundary == FVector(0, ())
     assert census.f_interior == census.f == FVector(1, (1,))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_simplex_rows_match_the_closed_form(n):
+    census = simplex_ball(n).census()
+    total = tuple(comb(n, j + 1) for j in range(n))
+    assert tuple(census.f) == total
+    assert tuple(census.f_boundary) == total[: n - 1]
+    assert tuple(census.f_interior) == (0,) * (n - 1) + (1,)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stacked_rows_match_the_closed_form(seed):
+    # each of the m - 1 stacking steps adds C(n-1, j) j-faces, and only the
+    # m - 1 new ridges and the m facets are interior
+    n, m = 10, 200
+    census = stacked_ball(n, m, seed).census()
+    total = tuple(comb(n, j + 1) + (m - 1) * comb(n - 1, j) for j in range(n))
+    interior = (0,) * (n - 2) + (m - 1, m)
+    assert tuple(census.f) == total
+    assert tuple(census.f_interior) == interior
+    assert tuple(census.f_boundary) == tuple(t - i for t, i in zip(total, interior))[: n - 1]
+
+
+@pytest.mark.parametrize(
+    "ball",
+    [
+        simplex_ball(1),
+        simplex_ball(2),
+        simplex_ball(7),
+        stacked_ball(6, 12, 1),
+        barycentric_subdivision(stacked_ball(4, 3, 2)),
+        from_facets([[1, 2, 3], [4, 5, 6]]),
+    ],
+    ids=["point", "segment", "simplex-7", "stacked-6-12", "sd-stacked-4-3", "disconnected"],
+)
+def test_census_expands_only_the_faces_below_the_ridges(monkeypatch, ball):
+    faces, f_vector = Complex.faces, Complex.f_vector
+    calls = []
+
+    def spy_faces(C, dim):
+        calls.append(("faces", C, dim))
+        return faces(C, dim)
+
+    def spy_f_vector(C):
+        calls.append(("f_vector", C))
+        return f_vector(C)
+
+    monkeypatch.setattr(Complex, "faces", spy_faces)
+    monkeypatch.setattr(Complex, "f_vector", spy_f_vector)
+    C = Complex(ball.facets)  # a fresh object, with no cached census
+    C.census()
+    assert calls == [("faces", C, d) for d in range(C.n - 2)]
+    assert all(entry[1] is C for entry in calls)
+    monkeypatch.undo()
+    assert_census_matches_reference(C)

@@ -142,6 +142,17 @@ class TestRecursionOdd:
     def test_agrees_with_series_through_20(self):
         assert genocchi_by_recursion_odd(10).values == genocchi_by_series(10).values
 
+    def test_weight_division_is_checked(self, monkeypatch):
+        # lcm(1, 2) + 1 = 3 makes the n = 2 weight L / 2 = 3/2
+        fake_math = types.SimpleNamespace(
+            factorial=math.factorial, lcm=lambda a, b: math.lcm(a, b) + 1
+        )
+        monkeypatch.setattr(genocchi, "math", fake_math)
+        with pytest.raises(
+            SelfCheckError, match=r"^lcm\(2\.\.2\) / 2 must be an integer, got 3/2$"
+        ):
+            genocchi_by_recursion_odd(2)
+
 
 class TestBernoulli:
     def test_convention(self):
