@@ -3,10 +3,12 @@
 A complex is stored by its facet set alone.  Its census reads the top
 counts off the ridge -> facets map (facets, ridges, boundary ridges) and
 recovers every lower face by explicit subset expansion with
-deduplication: the complex's faces from all its facets, the boundary's
-from the facets that touch the boundary.  That is deliberate: the corpus
-lives at desk scale (at most ~10^6 faces) and exact, obviously correct
-counting beats clever closure algebra here.
+deduplication.  Each facet is expanded once per subset size, and each
+subset is sorted into the boundary's faces or the rest by which boundary
+ridges of its facet it lies in, so one expansion counts the complex and
+its boundary.  That is deliberate: the corpus lives at desk scale (at
+most ~10^6 faces) and exact, obviously correct counting beats clever
+closure algebra here.
 
 Faces are strictly increasing tuples of nonnegative integer vertex ids.
 The ambient parameter n is the number of vertices per facet, so a complex
@@ -18,6 +20,7 @@ materialized as a complex.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -143,7 +146,8 @@ class Census:
     there is no such ridge or n < 2; then ``f_boundary`` is all zeros (and
     empty for n = 1, where the boundary of a point has no faces).  The top
     entries of ``f`` and ``f_boundary`` are counted off the ridge map, the
-    lower ones by expanding the facets; ``boundary`` is never expanded.
+    lower ones of both from one expansion of the facets; ``boundary`` is
+    never expanded.
     ``ridge_overflow`` is the first ridge found in three or more facets,
     with its facet count, or None.  The f-vectors describe a ball only
     when ``report.ok``.
@@ -211,9 +215,9 @@ class Complex:
         One pass over the facets builds the ridge -> facets map; the ridge
         check, the boundary ridges, the facet-adjacency search and the top
         two counts of f and the top count of f(boundary) all read it.
-        Only dimensions 0..n-3 are expanded, each once: this complex's
-        through :meth:`faces`, the boundary's from the facets that hold a
-        boundary ridge.  Never raises.
+        Only dimensions 0..n-3 are expanded, each facet once per dimension,
+        and that one expansion counts both this complex and its boundary;
+        :meth:`faces` and :meth:`f_vector` are not called.  Never raises.
         """
         census = self._census
         if census is None:
@@ -242,14 +246,13 @@ class Complex:
 
         # f_{n-1} and f_{n-2} are read off the ridge map, whose only key for
         # n = 1 is the empty face, which is not counted
-        lower = tuple(len(self.faces(d)) for d in range(n - 2))
+        lower, lower_bd = _lower_face_counts(self.facets, by_ridge, boundary_ridges, n)
         ridges = (len(by_ridge),) if n >= 2 else ()
         f = FVector(n, lower + ridges + (len(self.facets),))
         # for n = 1 the only ridge is the empty face: the boundary of a
         # point is the empty complex, which has no faces to count
         if boundary_ridges and n >= 2:
             boundary = Complex(boundary_ridges)
-            lower_bd = _boundary_face_counts(by_ridge, boundary_ridges, n)
             f_bd = FVector(n - 1, lower_bd + (len(boundary_ridges),))
         else:
             f_bd = FVector(n - 1, (0,) * (n - 1))
@@ -308,49 +311,73 @@ class Complex:
         return from_facets([[mapping[v] for v in f] for f in self.facets])
 
 
-def _boundary_face_counts(
-    by_ridge: dict[Face, list[Face]], boundary_ridges: frozenset[Face], n: int
-) -> tuple[int, ...]:
-    """f_0 .. f_{n-3} of the complex generated by the boundary ridges.
+def _lower_face_counts(
+    facets: frozenset[Face],
+    by_ridge: dict[Face, list[Face]],
+    boundary_ridges: frozenset[Face],
+    n: int,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """f_0 .. f_{n-3} of the complex and of its boundary, from one expansion.
 
-    ``by_ridge`` maps each ridge to its facets, so a boundary ridge maps to
-    the one facet that holds it.  For such a facet F let O(F) be the
-    vertices o with F - {o} a boundary ridge.  A face of F lies on the
-    boundary iff it misses some o in O(F), so F contributes its subsets
-    that do not contain O(F): the subsets of its lone boundary ridge when
-    |O(F)| = 1, every subset too small to contain O(F), and otherwise the
-    subsets of F less those containing O(F).  Faces shared between facets
-    are counted once.
+    For a facet F let O(F) be the vertices o with F - {o} a boundary ridge,
+    and P(F) their positions in F.  A subset of F lies on the boundary iff
+    it misses some o in O(F).  So each s-subset of each facet goes to
+    exactly one of two sets: ``bd`` if it misses some o in O(F), ``cand``
+    if it contains O(F).  Every boundary face reaches ``bd`` from the facet
+    that holds its boundary ridge, and every face reaches one of the two,
+    so f_{s-1}(boundary) = |bd| and f_{s-1} = |bd| + |cand| - |cand & bd|,
+    which is |bd| + |cand - bd|.
+
+    Facets are grouped by P(F) and each group is split in bulk: all to
+    ``cand`` when P is empty, all to ``bd`` when s < |P|, and otherwise
+    by a mask over the s-subsets of range(n), which lists the subsets of
+    every facet in the same positional order.  A facet with one boundary
+    ridge sends that ridge's subsets to ``bd``.
     """
     ridges_of: dict[Face, list[Face]] = {}
     for ridge in boundary_ridges:
         ridges_of.setdefault(by_ridge[ridge][0], []).append(ridge)
-    lone = [ridges[0] for ridges in ridges_of.values() if len(ridges) == 1]
-    # (F, O(F), F - O(F)), both sorted, for facets with several boundary ridges
-    several = []
+    groups = {(): [facet for facet in facets if facet not in ridges_of]}
+    lone: list[Face] = []
     for facet, ridges in ridges_of.items():
-        if len(ridges) > 1:
-            common = set(ridges[0]).intersection(*ridges[1:])
-            omitted = tuple(v for v in facet if v not in common)
-            several.append((facet, omitted, tuple(v for v in facet if v in common)))
-    counts = []
+        # o's position is the length of the common prefix of F and F - {o}
+        P = tuple(sorted(sum(map(operator.eq, facet, ridge)) for ridge in ridges))
+        groups.setdefault(P, []).append(facet)
+        if len(P) == 1:
+            lone.append(ridges[0])
+
+    counts, counts_bd = [], []
     for size in range(1, n - 1):
-        faces: set[Face] = set()
-        for ridge in lone:
-            faces.update(itertools.combinations(ridge, size))
-        for facet, omitted, rest in several:
-            subsets = itertools.combinations(facet, size)
-            if size < len(omitted):
-                faces.update(subsets)
-                continue
-            on_boundary = set(subsets)
-            on_boundary.difference_update(
-                tuple(sorted(omitted + extra))
-                for extra in itertools.combinations(rest, size - len(omitted))
-            )
-            faces.update(on_boundary)
-        counts.append(len(faces))
-    return tuple(counts)
+        bd = set(_subsets(lone, size))
+        cand: set[Face] = set()
+        bits = None
+        for P, group in groups.items():
+            subsets = _subsets(group, size)
+            if not P:
+                cand.update(subsets)
+            elif size < len(P):
+                bd.update(subsets)
+            else:
+                if bits is None:
+                    positions = itertools.combinations(range(n), size)
+                    bits = [sum(1 << i for i in c) for c in positions]
+                need = sum(1 << p for p in P)
+                contains = [b & need == need for b in bits]
+                if len(P) > 1:
+                    subsets = list(subsets)
+                    misses = [not c for c in contains]
+                    bd.update(itertools.compress(subsets, itertools.cycle(misses)))
+                cand.update(itertools.compress(subsets, itertools.cycle(contains)))
+        counts_bd.append(len(bd))
+        cand -= bd
+        counts.append(len(bd) + len(cand))
+    return tuple(counts), tuple(counts_bd)
+
+
+def _subsets(faces: Iterable[Face], size: int) -> Iterator[Face]:
+    """The size-subsets of each face in turn, each face's in combinations order."""
+    combos = map(itertools.combinations, faces, itertools.repeat(size))
+    return itertools.chain.from_iterable(combos)
 
 
 def from_facets(facet_lists: Iterable[Sequence[int]]) -> Complex:

@@ -162,14 +162,26 @@ def barycentric_subdivision(C: Complex) -> Complex:
     New vertex ids are assigned 1, 2, ... in (dimension, lexicographic)
     order over the faces of C, so the output is reproducible.  Each facet
     of C yields n! chains, hence f_{n-1}(sd C) = n! * f_{n-1}(C).
+
+    A chain is an ordering of the facet's positions, and its faces are the
+    prefixes, written as position bitmasks.  The prefix bitmasks of every
+    ordering and the positions of every bitmask are tabled once per call,
+    so each facet looks up the ids of its 2^n - 1 faces once and no
+    prefix is sorted.
     """
     vid: dict[tuple[int, ...], int] = {}
     for dim in range(C.n):
         for face in sorted(C.faces(dim)):
             vid[face] = len(vid) + 1
-    new_facets = []
-    for facet in C.facets:
-        for order in itertools.permutations(facet):
-            chain = [vid[tuple(sorted(order[:size]))] for size in range(1, C.n + 1)]
-            new_facets.append(chain)
-    return from_facets(new_facets)
+    n = C.n
+    rows = [
+        tuple(itertools.accumulate(1 << i for i in order))
+        for order in itertools.permutations(range(n))
+    ]
+    positions = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
+    # ids[mask] is the id of the face at mask's positions; no chain holds mask 0
+    id_tables = (
+        [0] + [vid[tuple(map(facet.__getitem__, pos))] for pos in positions]
+        for facet in C.facets
+    )
+    return from_facets(tuple(map(ids.__getitem__, row)) for ids in id_tables for row in rows)
