@@ -220,10 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_genocchi)
 
     p = sub.add_parser("generate", help="write a generated ball to a facet file")
-    p.add_argument(
-        "family",
-        choices=["simplex", "stacked", "cone", "sphere-minus-facet", "barycentric"],
-    )
+    p.add_argument("family", choices=list(BALL_NAMES))
     p.add_argument("--n", type=int, help="ambient parameter (vertices per facet)")
     p.add_argument("--m", type=int, help="facet count (stacked)")
     p.add_argument("--seed", type=int, default=1, help="stacking seed (default 1)")

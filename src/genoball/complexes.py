@@ -1,14 +1,15 @@
 """Pure simplicial complexes, f-vectors, boundaries, interior face counts.
 
-A complex is stored by its facet set alone.  Its census reads the top
-counts off the ridge -> facets map (facets, ridges, boundary ridges) and
-recovers every lower face by explicit subset expansion with
-deduplication.  Each facet is expanded once per subset size, and each
-subset is sorted into the boundary's faces or the rest by which boundary
-ridges of its facet it lies in, so one expansion counts the complex and
-its boundary.  That is deliberate: the corpus lives at desk scale (at
-most ~10^6 faces) and exact, obviously correct counting beats clever
-closure algebra here.
+A complex is stored by its facet set alone.  Its census generates each
+facet's ridges once, reads the top counts off the ridge -> facets map
+(facets, ridges, boundary ridges) and recovers every lower face by
+explicit subset expansion with deduplication.  Each facet is expanded
+once per subset size, and each subset is sorted into the boundary's
+faces or the rest by which boundary ridges of its facet it lies in, so
+one expansion counts the complex and its boundary.  That is deliberate:
+the corpus lives at desk scale (at most ~10^6 faces) and exact,
+obviously correct counting beats clever closure algebra here.  The
+boundary complex is built only when :meth:`Complex.boundary` is called.
 
 Faces are strictly increasing tuples of nonnegative integer vertex ids.
 The ambient parameter n is the number of vertices per facet, so a complex
@@ -20,7 +21,6 @@ materialized as a complex.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -141,13 +141,12 @@ class BallCheckReport:
 class Census:
     """One pass over a complex: its f-vectors and its ball screen.
 
-    ``f_interior`` is f - f_boundary componentwise.  ``boundary`` is the
-    complex generated by the ridges in exactly one facet, or None when
-    there is no such ridge or n < 2; then ``f_boundary`` is all zeros (and
-    empty for n = 1, where the boundary of a point has no faces).  The top
-    entries of ``f`` and ``f_boundary`` are counted off the ridge map, the
-    lower ones of both from one expansion of the facets; ``boundary`` is
-    never expanded.
+    ``f_interior`` is f - f_boundary componentwise.  ``boundary_ridges``
+    are the ridges in exactly one facet; for n = 1 the only ridge is the
+    empty face, and ``f_boundary`` is empty, since the boundary of a point
+    has no faces.  The top entries of ``f`` and ``f_boundary`` are counted
+    off the ridge map, the lower ones of both from one expansion of the
+    facets; no boundary complex is built.
     ``ridge_overflow`` is the first ridge found in three or more facets,
     with its facet count, or None.  The f-vectors describe a ball only
     when ``report.ok``.
@@ -157,7 +156,7 @@ class Census:
     f_boundary: FVector
     f_interior: FVector
     report: BallCheckReport
-    boundary: Complex | None
+    boundary_ridges: frozenset[Face]
     ridge_overflow: tuple[Face, int] | None
 
 
@@ -212,12 +211,14 @@ class Complex:
     def census(self) -> "Census":
         """Everything ``verify`` and ``fvector`` need, computed once and cached.
 
-        One pass over the facets builds the ridge -> facets map; the ridge
-        check, the boundary ridges, the facet-adjacency search and the top
-        two counts of f and the top count of f(boundary) all read it.
-        Only dimensions 0..n-3 are expanded, each facet once per dimension,
-        and that one expansion counts both this complex and its boundary;
-        :meth:`faces` and :meth:`f_vector` are not called.  Never raises.
+        One pass over the facets builds the ridge -> facets map and, for
+        each facet, the holder lists of its ridges; the ridge check, the
+        boundary ridges, the facet-adjacency search, the top two counts of
+        f and the top count of f(boundary) all read them, and no ridge is
+        generated twice.  Only dimensions 0..n-3 are expanded, each facet
+        once per dimension, and that one expansion counts both this
+        complex and its boundary; :meth:`faces` and :meth:`f_vector` are
+        not called and no :class:`Complex` is built.  Never raises.
         """
         census = self._census
         if census is None:
@@ -227,10 +228,16 @@ class Complex:
 
     def _take_census(self) -> "Census":
         n = self.n
+        # on_ridge[F] lists the holders of F's ridges in combinations
+        # order; the i-th ridge drops position n - 1 - i of F
         by_ridge: dict[Face, list[Face]] = {}
+        on_ridge: dict[Face, list[list[Face]]] = {}
         for facet in self.facets:
+            holders = on_ridge[facet] = []
             for ridge in itertools.combinations(facet, n - 1):
-                by_ridge.setdefault(ridge, []).append(facet)
+                holder = by_ridge.setdefault(ridge, [])
+                holder.append(facet)
+                holders.append(holder)
         overflow = next(((r, len(h)) for r, h in by_ridge.items() if len(h) > 2), None)
         boundary_ridges = frozenset(r for r, h in by_ridge.items() if len(h) == 1)
 
@@ -238,25 +245,19 @@ class Complex:
         seen = {start}
         queue = deque([start])
         while queue:
-            for ridge in itertools.combinations(queue.popleft(), n - 1):
-                for nb in by_ridge[ridge]:
+            for holder in on_ridge[queue.popleft()]:
+                for nb in holder:
                     if nb not in seen:
                         seen.add(nb)
                         queue.append(nb)
 
-        # f_{n-1} and f_{n-2} are read off the ridge map, whose only key for
-        # n = 1 is the empty face, which is not counted
-        lower, lower_bd = _lower_face_counts(self.facets, by_ridge, boundary_ridges, n)
+        # f_{n-1} and f_{n-2} are read off the ridge map.  For n = 1 its only
+        # key is the empty face, which is not counted, and the boundary of a
+        # point is the empty complex, which has no faces to count
+        lower, lower_bd = _lower_face_counts(on_ridge, n)
         ridges = (len(by_ridge),) if n >= 2 else ()
         f = FVector(n, lower + ridges + (len(self.facets),))
-        # for n = 1 the only ridge is the empty face: the boundary of a
-        # point is the empty complex, which has no faces to count
-        if boundary_ridges and n >= 2:
-            boundary = Complex(boundary_ridges)
-            f_bd = FVector(n - 1, lower_bd + (len(boundary_ridges),))
-        else:
-            f_bd = FVector(n - 1, (0,) * (n - 1))
-            boundary = None
+        f_bd = FVector(n - 1, lower_bd + (len(boundary_ridges),) if n >= 2 else ())
         report = BallCheckReport(
             n=n,
             ridge_incidence_ok=overflow is None,
@@ -270,7 +271,7 @@ class Complex:
             f_boundary=f_bd,
             f_interior=FVector(n, tuple(f[d] - f_bd[d] for d in range(n))),
             report=report,
-            boundary=boundary,
+            boundary_ridges=boundary_ridges,
             ridge_overflow=overflow,
         )
 
@@ -279,8 +280,8 @@ class Complex:
 
         For a ball this is its boundary sphere.  Raises RidgeOverflowError
         if some ridge lies in three or more facets, NoBoundaryError if
-        every ridge lies in exactly two.  The object is cached by
-        :meth:`census`, so repeated calls return the same complex.
+        every ridge lies in exactly two.  The complex is built anew from
+        the census's boundary ridges on every call.
         """
         if self.n < 2:
             raise ComplexError("boundary needs facets with at least 2 vertices")
@@ -288,9 +289,9 @@ class Complex:
         if census.ridge_overflow is not None:
             ridge, count = census.ridge_overflow
             raise RidgeOverflowError(f"ridge {ridge} lies in {count} facets")
-        if census.boundary is None:
+        if not census.boundary_ridges:
             raise NoBoundaryError("every ridge is interior")
-        return census.boundary
+        return Complex(census.boundary_ridges)
 
     def interior_f_vector(self) -> FVector:
         """f(B) - f(boundary B) componentwise.
@@ -312,21 +313,20 @@ class Complex:
 
 
 def _lower_face_counts(
-    facets: frozenset[Face],
-    by_ridge: dict[Face, list[Face]],
-    boundary_ridges: frozenset[Face],
-    n: int,
+    on_ridge: dict[Face, list[list[Face]]], n: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """f_0 .. f_{n-3} of the complex and of its boundary, from one expansion.
 
-    For a facet F let O(F) be the vertices o with F - {o} a boundary ridge,
-    and P(F) their positions in F.  A subset of F lies on the boundary iff
-    it misses some o in O(F).  So each s-subset of each facet goes to
-    exactly one of two sets: ``bd`` if it misses some o in O(F), ``cand``
-    if it contains O(F).  Every boundary face reaches ``bd`` from the facet
-    that holds its boundary ridge, and every face reaches one of the two,
-    so f_{s-1}(boundary) = |bd| and f_{s-1} = |bd| + |cand| - |cand & bd|,
-    which is |bd| + |cand - bd|.
+    ``on_ridge`` maps each facet to the holder lists of its ridges, the
+    i-th of which drops position n - 1 - i.  For a facet F let O(F) be the
+    vertices o with F - {o} a boundary ridge, and P(F) their positions in
+    F, the positions whose holder list has length 1.  A subset of F lies
+    on the boundary iff it misses some o in O(F).  So each s-subset of
+    each facet goes to exactly one of two sets: ``bd`` if it misses some
+    o in O(F), ``cand`` if it contains O(F).  Every boundary face reaches
+    ``bd`` from the facet that holds its boundary ridge, and every face
+    reaches one of the two, so f_{s-1}(boundary) = |bd| and f_{s-1} =
+    |bd| + |cand| - |cand & bd|, which is |bd| + |cand - bd|.
 
     Facets are grouped by P(F) and each group is split in bulk: all to
     ``cand`` when P is empty, all to ``bd`` when s < |P|, and otherwise
@@ -334,17 +334,14 @@ def _lower_face_counts(
     every facet in the same positional order.  A facet with one boundary
     ridge sends that ridge's subsets to ``bd``.
     """
-    ridges_of: dict[Face, list[Face]] = {}
-    for ridge in boundary_ridges:
-        ridges_of.setdefault(by_ridge[ridge][0], []).append(ridge)
-    groups = {(): [facet for facet in facets if facet not in ridges_of]}
+    groups: dict[tuple[int, ...], list[Face]] = {}
     lone: list[Face] = []
-    for facet, ridges in ridges_of.items():
-        # o's position is the length of the common prefix of F and F - {o}
-        P = tuple(sorted(sum(map(operator.eq, facet, ridge)) for ridge in ridges))
+    for facet, holders in on_ridge.items():
+        # reversed, the j-th holder list is that of the ridge dropping position j
+        P = tuple(p for p, holder in enumerate(reversed(holders)) if len(holder) == 1)
         groups.setdefault(P, []).append(facet)
         if len(P) == 1:
-            lone.append(ridges[0])
+            lone.append(facet[:P[0]] + facet[P[0] + 1:])
 
     counts, counts_bd = [], []
     for size in range(1, n - 1):

@@ -10,6 +10,7 @@ ridges, of the complex and of its boundary, from one expansion of each
 facet.
 """
 
+import itertools
 import os
 from collections import Counter, deque
 from itertools import combinations
@@ -61,19 +62,17 @@ def reference_dual_connected(facets, n, incidence):
 
 
 def reference_census(C):
-    """(f, f_bd, f_int, report, boundary facets or None, first overflow or None)."""
+    """(f, f_bd, f_int, report, boundary ridges, first overflow or None)."""
     n = C.n
     incidence = Counter()
     for facet in C.facets:
         incidence.update(combinations(facet, n - 1))
     overflow = next(((r, c) for r, c in incidence.items() if c > 2), None)
-    ridges = [r for r, c in incidence.items() if c == 1]
+    ridges = frozenset(r for r, c in incidence.items() if c == 1)
     f = tuple(from_facets(C.facets).f_vector())
     if ridges and n >= 2:
-        bd_facets = frozenset(ridges)
         f_bd = tuple(from_facets(ridges).f_vector())
     else:
-        bd_facets = None
         f_bd = (0,) * (n - 1)
     f_bd_padded = f_bd + (0,) * (n - len(f_bd))
     f_int = tuple(a - b for a, b in zip(f, f_bd_padded))
@@ -85,33 +84,32 @@ def reference_census(C):
         euler_char_ball=FVector(n, f).euler_characteristic(),
         euler_char_boundary=FVector(n - 1, f_bd).euler_characteristic(),
     )
-    return f, f_bd, f_int, report, bd_facets, overflow
+    return f, f_bd, f_int, report, ridges, overflow
 
 
 def assert_census_matches_reference(C):
     census = C.census()
-    f, f_bd, f_int, report, bd_facets, overflow = reference_census(C)
+    f, f_bd, f_int, report, ridges, overflow = reference_census(C)
     assert tuple(census.f) == f
     assert (census.f_boundary.n, tuple(census.f_boundary)) == (C.n - 1, f_bd)
     assert (census.f_interior.n, tuple(census.f_interior)) == (C.n, f_int)
     assert census.report == report
     assert C.ball_check() == report
     assert census.ridge_overflow == overflow
-    if bd_facets is None:
-        assert census.boundary is None
-    else:
-        assert census.boundary.facets == bd_facets
+    assert census.boundary_ridges == ridges
     # boundary() and interior_f_vector() raise exactly as before
     if C.n < 2:
         expected = (ComplexError, "boundary needs facets with at least 2 vertices")
     elif overflow is not None:
         expected = (RidgeOverflowError, f"ridge {overflow[0]} lies in {overflow[1]} facets")
-    elif bd_facets is None:
+    elif not ridges:
         expected = (NoBoundaryError, "every ridge is interior")
     else:
         expected = None
     if expected is None:
-        assert C.boundary() is census.boundary
+        # built on demand from the boundary ridges, not kept
+        assert C.boundary().facets == ridges
+        assert C.boundary().n == C.n - 1
         assert tuple(C.interior_f_vector()) == f_int
     else:
         for view in (C.boundary, C.interior_f_vector):
@@ -214,7 +212,8 @@ def test_screen_failures_and_points(facets):
 def test_point_census_folds_the_empty_boundary():
     census = simplex_ball(1).census()
     assert census.report.ok
-    assert census.boundary is None
+    # the empty face is the point's one ridge, and it lies in one facet
+    assert census.boundary_ridges == frozenset({()})
     assert census.f_boundary == FVector(0, ())
     assert census.f_interior == census.f == FVector(1, (1,))
 
@@ -241,7 +240,7 @@ def test_stacked_rows_match_the_closed_form(seed):
     assert tuple(census.f_boundary) == tuple(t - i for t, i in zip(total, interior))[: n - 1]
 
 
-@pytest.mark.parametrize(
+SMALL_BALLS = pytest.mark.parametrize(
     "ball",
     [
         simplex_ball(1),
@@ -253,6 +252,9 @@ def test_stacked_rows_match_the_closed_form(seed):
     ],
     ids=["point", "segment", "simplex-7", "stacked-6-12", "sd-stacked-4-3", "disconnected"],
 )
+
+
+@SMALL_BALLS
 def test_census_expands_only_the_faces_below_the_ridges(monkeypatch, ball):
     # the census expands the facets itself, never through faces or f_vector
     faces, f_vector = Complex.faces, Complex.f_vector
@@ -272,6 +274,44 @@ def test_census_expands_only_the_faces_below_the_ridges(monkeypatch, ball):
     C.census()
     assert calls == []
     monkeypatch.undo()
+    assert_census_matches_reference(C)
+
+
+@SMALL_BALLS
+def test_census_generates_each_facets_ridges_once(monkeypatch, ball):
+    # the ridge map and the adjacency search share one pass over the ridges;
+    # every other combinations call of the census takes fewer than n - 1
+    n = ball.n
+    ridge_calls = Counter()
+
+    def spy_combinations(iterable, r):
+        if r == n - 1:
+            ridge_calls[iterable] += 1
+        return combinations(iterable, r)
+
+    C = Complex(ball.facets)
+    monkeypatch.setattr(itertools, "combinations", spy_combinations)
+    C.census()
+    monkeypatch.undo()
+    assert ridge_calls == Counter(ball.facets)
+    assert_census_matches_reference(C)
+
+
+@SMALL_BALLS
+def test_census_builds_no_complex(monkeypatch, ball):
+    # the boundary complex is built by boundary() on demand, not by the census
+    init = Complex.__init__
+    built = []
+
+    def spy_init(self, facets):
+        built.append(facets)
+        init(self, facets)
+
+    C = Complex(ball.facets)
+    monkeypatch.setattr(Complex, "__init__", spy_init)
+    C.census()
+    monkeypatch.undo()
+    assert built == []
     assert_census_matches_reference(C)
 
 
