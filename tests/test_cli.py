@@ -401,6 +401,52 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genocchi", "3"],
+        ["verify", "--corpus", "--max-n", "3", "--json"],
+        ["generate", "--help"],
+        ["no-such-command"],
+    ],
+)
+def test_repeated_calls_print_the_same_bytes(capsys, argv):
+    assert run(argv, capsys) == run(argv, capsys)
+
+
+def test_help_matches_a_fresh_parser(capsys):
+    code, out, _ = run(["generate", "--help"], capsys)
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["generate", "--help"])
+    assert code == 0
+    assert out == capsys.readouterr().out
+
+
+PARSER_ONCE_CHILD = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from genoball import cli
+assert cli._parser.cache_info().currsize == 0, "import built the parser"
+built = []
+original = cli.build_parser
+cli.build_parser = lambda: built.append(1) or original()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["genocchi", "2"]), cli.main(["genocchi", "2"])]
+assert codes == [0, 0] and built == [1], (codes, built)
+"""
+
+
+def test_parser_is_built_on_the_first_call_only():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", PARSER_ONCE_CHILD, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 # Values of the wrong JSON type for any field of a facet file.
 _JUNK = st.one_of(
     st.none(),

@@ -18,8 +18,10 @@ from genoball.genocchi import (
     GenocchiTable,
     InsufficientTableError,
     SelfCheckError,
+    _SERIES_BLOCK,
     _binomial_rows,
     _exact_div,
+    _falling_products,
     bernoulli,
     binomial,
     dumont_count,
@@ -80,13 +82,25 @@ class TestBinomialRows:
         def forbidden(*args):
             raise AssertionError("a table route computed a binomial from scratch")
 
+        called = set()
+
+        def allowed(fn):
+            def spy(*args):
+                called.add(fn.__name__)
+                return fn(*args)
+
+            return spy
+
         monkeypatch.setattr(genocchi, "binomial", forbidden)
+        # exactly the math functions the routes call, plus a forbidden comb;
+        # any other math attribute a route reached for would raise here
         fake_math = types.SimpleNamespace(
-            factorial=math.factorial, lcm=math.lcm, comb=forbidden
+            factorial=allowed(math.factorial), lcm=allowed(math.lcm), comb=forbidden
         )
         monkeypatch.setattr(genocchi, "math", fake_math)
         for route, values in expected.items():
             assert route(30).values == values, route.__name__
+        assert called == {"factorial", "lcm"}
 
 
 class TestSeries:
@@ -109,6 +123,66 @@ class TestSeries:
         # succeeding at N=1 means the odd self-checks ([t^1] = 1, [t^3] = 0)
         # passed
         assert genocchi_by_series(1).values == {2: -1}
+
+    @pytest.mark.parametrize("top", [0, 1, 7, 8, 40])
+    @pytest.mark.parametrize("width", [1, 2, 8])
+    def test_falling_products(self, top, width):
+        new_top = top + width
+        expected = [
+            math.factorial(new_top) // math.factorial(k) for k in range(top, new_top + 1)
+        ]
+        assert _falling_products(top, new_top) == expected
+
+    # N = B/2 and N = B give 2N+1 = top + 1 at a block boundary, so t^{2N+1}
+    # opens a block of its own; the other sizes end inside a block
+    @pytest.mark.parametrize(
+        "N", [1, 3, _SERIES_BLOCK // 2, _SERIES_BLOCK // 2 + 1, _SERIES_BLOCK, 2 * _SERIES_BLOCK + 3]
+    )
+    def test_divides_once_per_coefficient_and_value(self, monkeypatch, N):
+        labels = []
+
+        def spy(num, den, what):
+            labels.append(what)
+            return _exact_div(num, den, what)
+
+        blocks = []
+
+        def falling_spy(top, new_top):
+            blocks.append((top, new_top))
+            return _falling_products(top, new_top)
+
+        monkeypatch.setattr(genocchi, "_exact_div", spy)
+        monkeypatch.setattr(genocchi, "_falling_products", falling_spy)
+        assert genocchi_by_series(N).values == _ref_series(N)
+        degree = 2 * N + 1
+        assert labels == [f"s [t^{i}]" for i in range(degree + 1)] + [
+            f"G_{2 * n}" for n in range(1, N + 1)
+        ]
+        # the scale climbs 0! -> B! -> (2B)! ... and ends at exactly (2N+1)!
+        tops = [0, *range(_SERIES_BLOCK, degree, _SERIES_BLOCK), degree]
+        assert blocks == list(zip(tops, tops[1:]))
+
+    # Every boundary below adds a full block.  A wrong ratio at a final
+    # boundary that adds t^{2N+1} alone cannot show: Q and d stay on one
+    # common scale, and the only fresh d_k pairs with Q_0 = 0.
+    @pytest.mark.parametrize("boundary", [0, _SERIES_BLOCK, 2 * _SERIES_BLOCK])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_block_ratio_off_by_one_is_caught(self, monkeypatch, boundary, delta):
+        N = 2 * _SERIES_BLOCK
+        expected = genocchi_by_series(N).values
+
+        def mutant(top, new_top):
+            out = _falling_products(top, new_top)
+            if top == boundary:
+                out[0] += delta
+            return out
+
+        monkeypatch.setattr(genocchi, "_falling_products", mutant)
+        try:
+            got = genocchi_by_series(N).values
+        except SelfCheckError:
+            return
+        assert got != expected
 
 
 class TestRecursionEven:
@@ -416,11 +490,15 @@ class TestExactDivision:
         assert bernoulli(12).values != expected_bernoulli
 
     def test_wrong_series_coefficient_trips_odd_check(self, monkeypatch):
-        # d_3 = D/3! replaced by D: every division stays exact through
-        # t^7 at N = 3, so only the odd-coefficient check can catch it
-        fake_math = types.SimpleNamespace(
-            factorial=lambda j: 1 if j == 3 else math.factorial(j), comb=math.comb
-        )
-        monkeypatch.setattr(genocchi, "math", fake_math)
+        # d_3 = s/3! replaced by s where the first block computes it: every
+        # division stays exact through t^7 at N = 3 (one block, s = 7!), so
+        # only the odd-coefficient check can catch it
+        def corrupted(top, new_top):
+            out = _falling_products(top, new_top)
+            if top < 3 <= new_top:
+                out[3 - top] *= math.factorial(3)
+            return out
+
+        monkeypatch.setattr(genocchi, "_falling_products", corrupted)
         with pytest.raises(SelfCheckError, match=r"\[t\^5\] of 2t/\(e\^t\+1\) must vanish"):
             genocchi_by_series(3)
