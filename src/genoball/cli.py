@@ -149,13 +149,55 @@ def _print_report(report: VerificationReport) -> None:
         )
 
 
-def _report_obj(report: VerificationReport) -> dict:
-    return {
-        "name": report.name,
-        "n": report.n,
-        "pass": report.passed,
-        "entries": report.to_json_entries(),
-    }
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _json_report(reports: list[VerificationReport], corpus: bool) -> str:
+    """The `verify --json` text, written directly.
+
+    Byte-identical to json.dumps(payload, indent=2), where the payload is
+    {"pass", "balls": [ball, ...]} for the corpus and one ball object
+    {"name", "n", "pass", "entries"} for a file.  Every string goes
+    through json.dumps, so the escaping is the encoder's.
+    """
+    if not corpus:
+        return _json_ball(reports[0], "")
+    balls = [_json_ball(report, "    ") for report in reports]
+    return (
+        f'{{\n  "pass": {_JSON_BOOL[all(r.passed for r in reports)]},\n'
+        f'  "balls": {_json_list(balls, "  ")}\n}}'
+    )
+
+
+def _json_ball(report: VerificationReport, pad: str) -> str:
+    """One ball object at indent ``pad``; its entries carry big integers
+    as decimal strings."""
+    p1, p2 = pad + "  ", pad + "    "
+    p3 = p2 + "  "
+    entries = [
+        f'{p2}{{\n'
+        f'{p3}"identity": {json.dumps(check.identity)},\n'
+        f'{p3}"n": {report.n},\n'
+        f'{p3}"k": {check.k},\n'
+        f'{p3}"residual_numerator": {json.dumps(str(check.residual.numerator))},\n'
+        f'{p3}"residual_denominator": {json.dumps(str(check.residual.denominator))},\n'
+        f'{p3}"pass": {_JSON_BOOL[check.passed]}\n'
+        f"{p2}}}"
+        for check in report.checks
+    ]
+    return (
+        f"{pad}{{\n"
+        f'{p1}"name": {json.dumps(report.name)},\n'
+        f'{p1}"n": {report.n},\n'
+        f'{p1}"pass": {_JSON_BOOL[report.passed]},\n'
+        f'{p1}"entries": {_json_list(entries, p1)}\n'
+        f"{pad}}}"
+    )
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """A nonempty JSON array of already indented items, closed at ``pad``."""
+    return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -183,11 +225,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         reports.append(verify_ball(ball, table, name=name))
     all_pass = all(r.passed for r in reports)
     if args.json:
-        if args.corpus:
-            payload = {"pass": all_pass, "balls": [_report_obj(r) for r in reports]}
-        else:
-            payload = _report_obj(reports[0])
-        print(json.dumps(payload, indent=2))
+        print(_json_report(reports, args.corpus))
     elif args.corpus:
         for report in reports:
             verdict = "PASS" if report.passed else "FAIL"

@@ -283,6 +283,19 @@ class Complex:
         every ridge lies in exactly two.  The complex is built anew from
         the census's boundary ridges on every call.
         """
+        return Complex(self._census_with_boundary().boundary_ridges)
+
+    def interior_f_vector(self) -> FVector:
+        """f(B) - f(boundary B) componentwise.
+
+        The boundary has no (n-1)-faces, so the top entry is the facet
+        count.  The interior is a vector of counts only, not a complex.
+        Raises the errors of :meth:`boundary`, and builds no complex.
+        """
+        return self._census_with_boundary().f_interior
+
+    def _census_with_boundary(self) -> Census:
+        """The census, once it shows a boundary; else the error of :meth:`boundary`."""
         if self.n < 2:
             raise ComplexError("boundary needs facets with at least 2 vertices")
         census = self.census()
@@ -291,17 +304,7 @@ class Complex:
             raise RidgeOverflowError(f"ridge {ridge} lies in {count} facets")
         if not census.boundary_ridges:
             raise NoBoundaryError("every ridge is interior")
-        return Complex(census.boundary_ridges)
-
-    def interior_f_vector(self) -> FVector:
-        """f(B) - f(boundary B) componentwise.
-
-        The boundary has no (n-1)-faces, so the top entry is the facet
-        count.  The interior is a vector of counts only, not a complex.
-        Raises the errors of :meth:`boundary`.
-        """
-        self.boundary()
-        return self.census().f_interior
+        return census
 
     def ball_check(self) -> BallCheckReport:
         """The necessary-condition screen, read from the census.  Never raises."""

@@ -10,6 +10,7 @@ ridges, of the complex and of its boundary, from one expansion of each
 facet.
 """
 
+import contextlib
 import itertools
 import os
 from collections import Counter, deque
@@ -312,6 +313,39 @@ def test_census_builds_no_complex(monkeypatch, ball):
     C.census()
     monkeypatch.undo()
     assert built == []
+    assert_census_matches_reference(C)
+
+
+@pytest.mark.parametrize(
+    "facets, has_boundary",
+    [
+        (stacked_ball(6, 12, 1).facets, True),
+        (barycentric_subdivision(stacked_ball(4, 3, 2)).facets, True),
+        ([[1]], False),
+        ([[1, 2, 3], [1, 2, 4], [1, 2, 5]], False),
+        ([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]], False),
+    ],
+    ids=["stacked-6-12", "sd-stacked-4-3", "point", "ridge-overflow", "closed-sphere"],
+)
+def test_interior_f_vector_builds_no_complex(monkeypatch, facets, has_boundary):
+    # interior_f_vector reads the census and raises the errors of boundary()
+    # without building the boundary complex, which boundary() still builds
+    init = Complex.__init__
+    built = []
+
+    def spy_init(self, facets):
+        built.append(facets)
+        init(self, facets)
+
+    C = from_facets(facets)
+    monkeypatch.setattr(Complex, "__init__", spy_init)
+    with contextlib.suppress(ComplexError):
+        C.interior_f_vector()
+    assert built == []
+    with contextlib.suppress(ComplexError):
+        C.boundary()
+    monkeypatch.undo()
+    assert built == ([C.census().boundary_ridges] if has_boundary else [])
     assert_census_matches_reference(C)
 
 

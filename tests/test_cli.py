@@ -21,7 +21,7 @@ from genoball import cli, genocchi, verify
 from genoball.corpus import corpus_balls
 from genoball.fileio import load_complex, save_complex
 from genoball.generators import simplex_ball, stacked_ball
-from genoball.verify import IdentityCheck, VerificationReport
+from genoball.verify import IdentityCheck, VerificationReport, verify_ball
 
 
 def run(argv, capsys):
@@ -233,6 +233,25 @@ class TestVerifyCommand:
         assert entry["residual_numerator"] == "0"
         assert entry["residual_denominator"] == "1"
 
+    def test_json_entries(self):
+        report = verify_ball(simplex_ball(4), genocchi.genocchi_by_recursion_even(2),
+                             name="simplex-n4")
+        entries = json.loads(cli._json_report([report], corpus=False))["entries"]
+        assert all(
+            set(e) == {"identity", "n", "k", "residual_numerator",
+                       "residual_denominator", "pass"}
+            for e in entries
+        )
+        assert all(e["n"] == 4 for e in entries)
+        assert all(e["residual_numerator"] == "0" for e in entries)
+        assert all(e["residual_denominator"] == "1" for e in entries)
+        assert all(e["pass"] is True for e in entries)
+        assert {e["identity"] for e in entries} == {
+            "genocchi",
+            "dehn-sommerville",
+            "no-interior-faces",
+        }
+
     def test_corpus_small(self, capsys):
         code, out, _ = run(["verify", "--corpus", "--max-n", "3"], capsys)
         assert code == 0
@@ -369,6 +388,92 @@ class TestVerifyCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: self-check failed: binomial symmetry broken at")
+
+    def test_late_self_check_failure_prints_no_json(self, capsys, monkeypatch):
+        # binomial symmetry breaks only at n >= 9, which the corpus first
+        # reaches after several balls have been verified
+        monkeypatch.setattr(
+            verify, "binomial", lambda n, k: math.comb(n, k) + (k if n >= 9 else 0)
+        )
+        verified = []
+
+        def counted(*args, **kwargs):
+            report = verify.verify_ball(*args, **kwargs)
+            verified.append(report)
+            return report
+
+        monkeypatch.setattr(cli, "verify_ball", counted)
+        code, out, err = run(["verify", "--corpus", "--json"], capsys)
+        assert code == 1
+        assert len(verified) >= 5
+        assert out == ""
+        assert err.startswith("error: self-check failed: binomial symmetry broken at")
+
+
+def _ref_json_report(reports, corpus):
+    """Reference: the report as a payload of dicts, serialized by json.dumps."""
+
+    def ball(report):
+        return {
+            "name": report.name,
+            "n": report.n,
+            "pass": report.passed,
+            "entries": [
+                {
+                    "identity": c.identity,
+                    "n": report.n,
+                    "k": c.k,
+                    "residual_numerator": str(c.residual.numerator),
+                    "residual_denominator": str(c.residual.denominator),
+                    "pass": c.passed,
+                }
+                for c in report.checks
+            ],
+        }
+
+    if corpus:
+        payload = {"pass": all(r.passed for r in reports), "balls": [ball(r) for r in reports]}
+    else:
+        payload = ball(reports[0])
+    return json.dumps(payload, indent=2)
+
+
+_tricky_text = st.lists(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\x7f", "\u00e4", "\u2603", "\U0001f600"])
+    | st.characters(),
+    max_size=12,
+).map("".join)
+
+_residuals = st.just(Fraction(0)) | st.builds(
+    Fraction,
+    st.integers() | st.integers(-(10**80), 10**80),
+    st.integers(1, 10**40),
+)
+
+_checks = st.builds(
+    IdentityCheck,
+    identity=st.sampled_from(["genocchi", "dehn-sommerville", "no-interior-faces"]) | _tricky_text,
+    k=st.integers(0, 40),
+    residual=_residuals,
+    trivial=st.booleans(),
+)
+
+_reports = st.builds(
+    VerificationReport,
+    n=st.integers(1, 40),
+    # verify_ball always reports the trivial k = n check, so no report is empty
+    checks=st.lists(_checks, min_size=1, max_size=6).map(tuple),
+    name=st.none() | _tricky_text,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reports=st.lists(_reports, min_size=1, max_size=3), corpus=st.booleans())
+def test_json_report_is_json_dumps_indent_2(reports, corpus):
+    if not corpus:
+        reports = reports[:1]
+    text = cli._json_report(reports, corpus)
+    assert text == _ref_json_report(reports, corpus)
 
 
 @pytest.mark.parametrize("command", ["verify", "fvector"])

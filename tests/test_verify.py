@@ -262,24 +262,6 @@ class TestVerifyBall:
     def test_subdivision_also_passes(self, ball, table):
         assert verify_ball(barycentric_subdivision(ball), table).passed
 
-    def test_json_entries(self, table):
-        report = verify_ball(simplex_ball(4), table, name="simplex-n4")
-        entries = report.to_json_entries()
-        assert all(
-            set(e) == {"identity", "n", "k", "residual_numerator",
-                       "residual_denominator", "pass"}
-            for e in entries
-        )
-        assert all(e["n"] == 4 for e in entries)
-        assert all(e["residual_numerator"] == "0" for e in entries)
-        assert all(e["residual_denominator"] == "1" for e in entries)
-        assert all(e["pass"] is True for e in entries)
-        assert {e["identity"] for e in entries} == {
-            "genocchi",
-            "dehn-sommerville",
-            "no-interior-faces",
-        }
-
 
 def _corrupted_table(N):
     """G_2 .. G_2N with G_4 off by one: no genuine ball gives zero residuals."""
@@ -307,6 +289,82 @@ def _expected_checks(ball, table):
                  no_interior_faces_residual(k, interior, boundary, n, table))
             )
     return out
+
+
+def _ref_genocchi_identity_residual(k, interior, boundary, n, table):
+    """Reference: the Genocchi residual as one Fraction operation per term."""
+    acc = Fraction(0)
+    for i in range(1, (n - k) // 2 + 1):
+        weight = Fraction(table.genocchi(2 * i), 2 * i)
+        acc += weight * (
+            math.comb(k + 2 * i - 1, k + 1) * boundary[k + 2 * i - 2]
+            - math.comb(k + 2 * i, k + 1) * interior[k + 2 * i - 1]
+        )
+    return interior[k] - acc
+
+
+def _ref_dehn_sommerville_residual(k, interior, boundary, n):
+    """Reference: the Dehn-Sommerville residual as one Fraction operation per term."""
+    acc = interior[k] + Fraction(boundary[k], 2)
+    for i in range(1, n - k):
+        sign = -1 if (n + k + i) % 2 else 1
+        acc += Fraction(sign * math.comb(k + 1 + i, k + 1) * interior[k + i], 2)
+    return acc
+
+
+@st.composite
+def _identity_cases(draw):
+    """(k, interior, boundary, n): arbitrary integer counts, n - k even, 0 <= k <= n."""
+    n = draw(st.integers(1, 16))
+    k = draw(st.sampled_from(range(n % 2, n + 1, 2)))
+    interior = draw(st.lists(st.integers(), min_size=n, max_size=n))
+    boundary = draw(st.lists(st.integers(), min_size=n - 1, max_size=n - 1))
+    return k, FVector(n, tuple(interior)), FVector(n - 1, tuple(boundary)), n
+
+
+# G_4/4 weighs f_2(bd B) by C(3, 1): the Genocchi residual is -3/4 with the
+# real table and -3/2 with G_4 + 1; the Dehn-Sommerville residual is 0
+THREE_QUARTERS_CASE = (0, FVector(4, (0, 0, 0, 0)), FVector(3, (0, 0, 1)), 4)
+# f_0(bd B)/2 is the only nonzero term of the Dehn-Sommerville residual
+ONE_HALF_CASE = (0, FVector(4, (0, 0, 0, 0)), FVector(3, (1, 0, 0)), 4)
+IDENTITY_TABLES = {"real": genocchi_by_recursion_even(8), "G4+1": _corrupted_table(8)}
+
+
+class TestIntegerResiduals:
+    """Both residuals, summed as integers over one denominator, equal the
+    per-term Fraction sums and are exact, reduced Fractions."""
+
+    @pytest.mark.parametrize(
+        "table, case, genocchi, dehn_sommerville",
+        [
+            ("real", THREE_QUARTERS_CASE, Fraction(-3, 4), 0),
+            ("G4+1", THREE_QUARTERS_CASE, Fraction(-3, 2), 0),
+            ("real", ONE_HALF_CASE, Fraction(1, 2), Fraction(1, 2)),
+            ("G4+1", ONE_HALF_CASE, Fraction(1, 2), Fraction(1, 2)),
+        ],
+    )
+    def test_pinned_values(self, table, case, genocchi, dehn_sommerville):
+        table = IDENTITY_TABLES[table]
+        assert _ref_genocchi_identity_residual(*case, table) == genocchi
+        assert genocchi_identity_residual(*case, table) == genocchi
+        assert _ref_dehn_sommerville_residual(*case) == dehn_sommerville
+        assert dehn_sommerville_residual(*case) == dehn_sommerville
+
+    @pytest.mark.parametrize("table", IDENTITY_TABLES)
+    @settings(max_examples=300, deadline=None)
+    @given(case=_identity_cases())
+    @example(case=THREE_QUARTERS_CASE)
+    @example(case=ONE_HALF_CASE)
+    def test_match_fraction_sums(self, table, case):
+        table = IDENTITY_TABLES[table]
+        k, interior, boundary, n = case
+        residual = genocchi_identity_residual(*case, table)
+        assert type(residual) is Fraction
+        assert residual == _ref_genocchi_identity_residual(*case, table)
+        if k <= n - 2:
+            residual = dehn_sommerville_residual(*case)
+            assert type(residual) is Fraction
+            assert residual == _ref_dehn_sommerville_residual(*case)
 
 
 class TestVerifyBallResiduals:
