@@ -389,12 +389,12 @@ def from_facets(facet_lists: Iterable[Sequence[int]]) -> Complex:
     """
     normalized: set[Face] = set()
     for raw in facet_lists:
+        for v in raw:
+            if type(v) is not int or v < 0:
+                raise ComplexError(f"vertex ids must be nonnegative integers, got {v!r}")
         facet = tuple(sorted(raw))
         if not facet:
             raise EmptyInputError("empty facet")
-        for v in facet:
-            if type(v) is not int or v < 0:
-                raise ComplexError(f"vertex ids must be nonnegative integers, got {v!r}")
         if len(set(facet)) != len(facet):
             raise DuplicateVertexError(f"facet {list(raw)} repeats a vertex")
         normalized.add(facet)

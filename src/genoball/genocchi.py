@@ -11,24 +11,23 @@ generating function 2t/(e^t + 1).  Four constructions are provided:
 * ``genocchi_by_recursion_odd`` -- the recursion
   G_{2n} = -1 - sum_{k<n} C(2n, 2k-1) G_{2k}/(2k);
 * ``genocchi_by_bernoulli`` -- the scaling G_{2n} = 2(1 - 2^{2n}) B_{2n} of
-  the Bernoulli numbers (B_1 = -1/2 convention).
+  the Bernoulli numbers (B_1 = -1/2 convention), with B_{2n} read off the
+  tangent numbers.
 
 The four tables must agree entry by entry; `dumont_count` adds a fifth,
-combinatorial route for small indices.  Every result is exact.  The
-series, odd-recursion and Bernoulli routes work in ``int`` over a common
-denominator (the fraction-free approach of Brent and Harvey, "Fast
-computation of Bernoulli, Tangent and Secant numbers", arXiv:1108.0286),
-so no step reduces a fraction: the Bernoulli convolution over one
-factorial, the odd recursion over an lcm that grows with the step, and
-the series over a factorial that grows in blocks of coefficients, so
-that its early steps multiply small integers.  The even recursion is
-integral already except for its halving, a checked exact division by 2.
-Every division any route makes must leave no remainder, and `_exact_div`
-raises SelfCheckError if one does.  The binomial weights of the two
-recursions and of the Bernoulli convolution come from Pascal's triangle,
-one row at a time (`_binomial_rows`); no route calls `binomial` or
-``math.comb``, and the series route uses no binomials at all.  The
-identity residuals use ``fractions.Fraction`` and `binomial`.
+combinatorial route for small indices.  Every result is exact and no step
+reduces a fraction.  The Bernoulli route runs Brent and Harvey's integer
+recurrence for the tangent numbers T_n ("Fast computation of Bernoulli,
+Tangent and Secant numbers", arXiv:1108.0286), then divides once per
+value.  The odd recursion works in ``int`` over an lcm that grows with
+the step, the series over a factorial that grows in blocks of
+coefficients, and the even recursion halves once per step.  Every
+division must leave no remainder, and `_exact_div` raises SelfCheckError
+if one does.  The two recursions read their binomial weights from
+Pascal's triangle, one row at a time (`_binomial_rows`); the series and
+Bernoulli routes use no binomials, and no route calls `binomial` or
+``math.comb``.  The identity residuals use ``fractions.Fraction`` and
+`binomial`.
 """
 
 from __future__ import annotations
@@ -279,51 +278,50 @@ def genocchi_by_recursion_odd(N: int) -> GenocchiTable:
     return GenocchiTable(max_index=2 * N, values=values, method="recursion-odd")
 
 
-def _scaled_bernoulli(M: int) -> tuple[int, list[int]]:
-    """(D, [b_0, ..., b_M]) with D = (M+1)! and b_m = B_m D, all integers.
+def _tangent_numbers(N: int) -> list[int]:
+    """[0, T_1, ..., T_N]: the tangent numbers, tan t = sum_n T_n t^{2n-1}/(2n-1)!.
 
-    The convolution sum_{j=0}^{m} C(m+1, j) B_j = 0, multiplied by D,
-    gives b_m = -(sum_{j<m} C(m+1, j) b_j) / (m+1), a division checked
-    to be exact.  It is exact because the denominator of B_m divides
-    (m+1)! (von Staudt-Clausen), which divides D.  Step m reads C(m+1, j)
-    from row m+1 of Pascal's triangle.
+    Brent and Harvey's in-place recurrence: from T_k = (k-1)!, for
+    k = 2..N and j = k..N, T_j = (j-k) T_{j-1} + (j-k+2) T_j.  That is
+    N^2/2 products of a big integer by a small one, and no division.
+    T_1, T_2, T_3, ... = 1, 2, 16, 272, ... (OEIS A000182).  Requires N >= 0.
     """
-    D = math.factorial(M + 1)
-    b = [D]
-    rows = itertools.islice(_binomial_rows(M + 1), 2, None)
-    for m, row in enumerate(rows, start=1):
-        acc = sum(map(operator.mul, row[:m], b))
-        b.append(_exact_div(-acc, m + 1, f"B_{m} (M+1)!"))
-    return D, b
+    T = [0, *itertools.accumulate(range(1, N), operator.mul, initial=1)][: N + 1]
+    for k in range(2, N + 1):
+        for j in range(k, N + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return T
 
 
 def bernoulli(M: int) -> BernoulliTable:
-    """B_0 .. B_M via the convolution sum_{j=0}^{m} C(m+1, j) B_j = 0.
+    """B_0 .. B_M under the B_1 = -1/2 convention, from the tangent numbers.
 
-    Solving the convolution for B_m with B_0 = 1 forces B_1 = -1/2 (the
-    convention under which the Genocchi scaling below holds) and B_m = 0
-    for odd m >= 3.  The convolution runs in integers over the common
-    denominator (M+1)!, with weights from Pascal rows and each division by
-    m+1 checked to be exact; the values are returned as reduced Fractions.
+    B_0 = 1, B_1 = -1/2, B_m = 0 for odd m >= 3, and
+    B_{2n} = (-1)^{n-1} 2n T_n / (4^n (4^n - 1)), as reduced Fractions.
     """
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
-    D, b = _scaled_bernoulli(M)
-    values = {m: Fraction(b_m, D) for m, b_m in enumerate(b)}
+    T = _tangent_numbers(M // 2)
+    values = {m: Fraction(0) for m in range(M + 1)}
+    values[0] = Fraction(1)
+    if M >= 1:
+        values[1] = Fraction(-1, 2)
+    for n in range(1, M // 2 + 1):
+        values[2 * n] = Fraction((-1) ** (n - 1) * 2 * n * T[n], 4**n * (4**n - 1))
     return BernoulliTable(max_index=M, values=values)
 
 
 def genocchi_by_bernoulli(N: int) -> GenocchiTable:
     """G_2 .. G_{2N} via G_{2n} = 2 (1 - 2^{2n}) B_{2n}.
 
-    Reads the integers b_{2n} = B_{2n} (2N+1)! of the Bernoulli
-    convolution and divides 2 (1 - 4^n) b_{2n} by (2N+1)!, checked to be
-    exact.
+    With B_{2n} from the tangent numbers T_n (see `bernoulli`) the scaling
+    becomes G_{2n} = (-1)^n n T_n / 4^{n-1}, one division per value,
+    checked to be exact.
     """
     _require_positive(N)
-    D, b = _scaled_bernoulli(2 * N)
+    T = _tangent_numbers(N)
     values = {
-        2 * n: _exact_div(2 * (1 - 4**n) * b[2 * n], D, f"G_{2 * n}")
+        2 * n: _exact_div((-1) ** n * n * T[n], 4 ** (n - 1), f"G_{2 * n}")
         for n in range(1, N + 1)
     }
     return GenocchiTable(max_index=2 * N, values=values, method="bernoulli")

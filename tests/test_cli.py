@@ -84,6 +84,21 @@ class TestGenocchiCommand:
         assert "Traceback" not in err
         assert err.startswith("error: self-check failed: ")
 
+    def test_wrong_tangent_number_exits_one_without_traceback(self, capsys, monkeypatch):
+        tangent_numbers = genocchi._tangent_numbers
+
+        def mutant(N):  # T_2 = 3 in place of 2, so G_4 = 2 T_2 / 4 = 3/2
+            T = tangent_numbers(N)
+            T[2] += 1
+            return T
+
+        monkeypatch.setattr(genocchi, "_tangent_numbers", mutant)
+        code, out, err = run(["genocchi", "6"], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        assert err == "error: self-check failed: G_4 must be an integer, got 3/2\n"
+        assert "cross-check" not in out
+
 
 class TestGenerateCommand:
     def test_simplex(self, tmp_path, capsys):

@@ -83,6 +83,12 @@ class TestFromFacets:
         with pytest.raises(ComplexError):
             from_facets([["a", "b"]])
 
+    @pytest.mark.parametrize("facet", [[1, "a"], [None, 1], [1.0, 2]])
+    def test_unsortable_vertex_ids_rejected(self, facet):
+        # checked before sorting, so mixed types raise no bare TypeError
+        with pytest.raises(ComplexError, match="vertex ids must be nonnegative integers"):
+            from_facets([facet])
+
 
 class TestFVectorType:
     def test_out_of_range_reads_zero(self):

@@ -22,6 +22,7 @@ from genoball.genocchi import (
     _binomial_rows,
     _exact_div,
     _falling_products,
+    _tangent_numbers,
     bernoulli,
     binomial,
     dumont_count,
@@ -47,6 +48,27 @@ ALL_METHODS = [
 def _rows_from(entry):
     """A stand-in for `genocchi._binomial_rows` whose row m is entry(m, j)."""
     return lambda top: ([entry(m, j) for j in range(m + 1)] for m in range(top + 1))
+
+
+def _tangent_mutant(at=None, coefficient=0, delta=0):
+    """A stand-in for `genocchi._tangent_numbers` with one coefficient off.
+
+    Runs the same sweep T_j = (j-k) T_{j-1} + (j-k+2) T_j, except that at
+    (k, j) = at the first (coefficient 0) or second (coefficient 1)
+    multiplier is off by delta.
+    """
+
+    def tangent_numbers(N):
+        T = [0, *(math.factorial(k - 1) for k in range(1, N + 1))]
+        for k in range(2, N + 1):
+            for j in range(k, N + 1):
+                weights = [j - k, j - k + 2]
+                if (k, j) == at:
+                    weights[coefficient] += delta
+                T[j] = weights[0] * T[j - 1] + weights[1] * T[j]
+        return T
+
+    return tangent_numbers
 
 
 class TestBinomial:
@@ -246,6 +268,36 @@ class TestBernoulli:
             bernoulli(4).bernoulli(5)
 
 
+class TestTangentNumbers:
+    def test_oeis_a000182(self):
+        assert _tangent_numbers(12)[1:] == [
+            1, 2, 16, 272, 7936, 353792, 22368256, 1903757312, 209865342976,
+            29088885112832, 4951498053124096, 1015423886506852352,
+        ]
+
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    def test_small_sizes(self, N):
+        assert _tangent_numbers(N) == [0, 1, 2][: N + 1]
+
+    def test_mutant_stand_in_is_faithful(self):
+        for N in range(31):
+            assert _tangent_mutant()(N) == _tangent_numbers(N), N
+
+    @pytest.mark.parametrize("at", [(2, 2), (2, 12), (5, 7), (12, 12)])
+    @pytest.mark.parametrize("coefficient", [0, 1])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_coefficient_off_by_one_is_caught(self, monkeypatch, at, coefficient, delta):
+        expected = genocchi_by_bernoulli(12).values
+        monkeypatch.setattr(
+            genocchi, "_tangent_numbers", _tangent_mutant(at, coefficient, delta)
+        )
+        try:
+            got = genocchi_by_bernoulli(12).values
+        except SelfCheckError:
+            return
+        assert got != expected
+
+
 class TestGenocchiByBernoulli:
     def test_g2(self):
         # 2*(1-4)*(1/6) = -1
@@ -376,10 +428,11 @@ def test_tables_are_plain_data():
     assert table.genocchi(4) == 1
 
 
-# Reference kernels: the Fraction arithmetic the series, Bernoulli and
-# odd-recursion routes used before they moved to integers over a common
-# denominator.  Each coefficient they produce does not depend on the
-# truncation, so one run at the largest size serves every smaller size.
+# Reference kernels: the Fraction arithmetic the series and odd-recursion
+# routes used before they moved to integers over a common denominator, and
+# the Bernoulli convolution that preceded the tangent numbers.  Each
+# coefficient they produce does not depend on the truncation, so one run at
+# the largest size serves every smaller size.
 
 
 def _ref_series_quotient(num, den):
@@ -485,9 +538,9 @@ class TestExactDivision:
         )
         with pytest.raises(SelfCheckError, match="must be an integer"):
             genocchi_by_recursion_odd(6)
-        # every division of the Bernoulli convolution stays exact here, so
-        # the wrong weights show as a different table
-        assert bernoulli(12).values != expected_bernoulli
+        # the Bernoulli numbers come from the tangent numbers and read no
+        # binomials, so the wrong weights leave them unchanged
+        assert bernoulli(12).values == expected_bernoulli
 
     def test_wrong_series_coefficient_trips_odd_check(self, monkeypatch):
         # d_3 = s/3! replaced by s where the first block computes it: every
