@@ -21,9 +21,8 @@ materialized as a complex.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections import deque, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 __all__ = [
     "Face",
@@ -67,16 +66,39 @@ class NoBoundaryError(ComplexError):
     """Every ridge lies in exactly two facets: a sphere candidate, not a ball."""
 
 
-@dataclass(frozen=True)
 class FVector:
     """Face counts by dimension, counts[d] = number of d-faces for 0 <= d < n.
 
     Lookups outside 0..n-1 return 0, so identity sums need no range guards.
-    The empty face is never counted.
+    The empty face is never counted.  Instances are immutable and compare
+    equal when ``n`` and ``counts`` are.
     """
 
-    n: int
-    counts: tuple[int, ...]
+    __slots__ = ("n", "counts")
+
+    def __init__(self, n: int, counts: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", counts)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.n, self.counts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.counts == other.counts
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.counts))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, counts={self.counts!r})"
 
     def __getitem__(self, dim: int) -> int:
         if 0 <= dim < len(self.counts):
@@ -93,8 +115,13 @@ class FVector:
         return sum(c if d % 2 == 0 else -c for d, c in enumerate(self.counts))
 
 
-@dataclass(frozen=True)
-class BallCheckReport:
+class BallCheckReport(
+    namedtuple(
+        "BallCheckReport",
+        "n ridge_incidence_ok has_boundary dual_graph_connected"
+        " euler_char_ball euler_char_boundary",
+    )
+):
     """Necessary-condition screen for "is this facet set a ball?".
 
     Ridge incidence at most 2, a nonempty boundary, a connected
@@ -103,15 +130,11 @@ class BallCheckReport:
     1 + (-1)^n.  Purity is not a field: building a :class:`Complex` from
     facets of mixed sizes already raises NonPureError.  ``ok`` means
     :meth:`failures` is empty, so the conditions are stated once.  Passing
-    the screen does NOT prove ball-ness; failing it disproves it.
+    the screen does NOT prove ball-ness; failing it disproves it.  The
+    three conditions are bools, ``n`` and the characteristics ints.
     """
 
-    n: int
-    ridge_incidence_ok: bool
-    has_boundary: bool
-    dual_graph_connected: bool
-    euler_char_ball: int
-    euler_char_boundary: int
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -137,27 +160,25 @@ class BallCheckReport:
         return out
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(
+    namedtuple("Census", "f f_boundary f_interior report boundary_ridges ridge_overflow")
+):
     """One pass over a complex: its f-vectors and its ball screen.
 
-    ``f_interior`` is f - f_boundary componentwise.  ``boundary_ridges``
-    are the ridges in exactly one facet; for n = 1 the only ridge is the
-    empty face, and ``f_boundary`` is empty, since the boundary of a point
-    has no faces.  The top entries of ``f`` and ``f_boundary`` are counted
-    off the ridge map, the lower ones of both from one expansion of the
-    facets; no boundary complex is built.
+    ``f``, ``f_boundary`` and ``f_interior`` are f-vectors, with
+    ``f_interior`` = f - f_boundary componentwise, and ``report`` is the
+    ball screen.  ``boundary_ridges`` is the frozenset of ridges in
+    exactly one facet; for n = 1 the only ridge is the empty face, and
+    ``f_boundary`` is empty, since the boundary of a point has no faces.
+    The top entries of ``f`` and ``f_boundary`` are counted off the ridge
+    map, the lower ones of both from one expansion of the facets; no
+    boundary complex is built.
     ``ridge_overflow`` is the first ridge found in three or more facets,
     with its facet count, or None.  The f-vectors describe a ball only
     when ``report.ok``.
     """
 
-    f: FVector
-    f_boundary: FVector
-    f_interior: FVector
-    report: BallCheckReport
-    boundary_ridges: frozenset[Face]
-    ridge_overflow: tuple[Face, int] | None
+    __slots__ = ()
 
 
 class Complex:

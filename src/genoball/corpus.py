@@ -9,7 +9,7 @@ fields are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 
 from .complexes import Complex
 from .generators import (
@@ -35,15 +35,17 @@ BALL_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusGrid:
-    simplex_n: tuple[int, ...]
-    stacked_n: tuple[int, ...]
-    stacked_m: tuple[int, ...]
-    stacked_seeds: tuple[int, ...]
-    sphere_bases: tuple[str, ...]
-    sphere_n: tuple[int, ...]
-    barycentric_max_n: int
+class CorpusGrid(
+    namedtuple(
+        "CorpusGrid",
+        "simplex_n stacked_n stacked_m stacked_seeds sphere_bases sphere_n"
+        " barycentric_max_n",
+    )
+):
+    """The corpus parameters: tuples of ints, except ``sphere_bases`` (a
+    tuple of sphere family names) and ``barycentric_max_n`` (an int)."""
+
+    __slots__ = ()
 
 
 DEFAULT_GRID = CorpusGrid(
@@ -65,8 +67,7 @@ def grid_from_json(obj: dict) -> CorpusGrid:
     """
     if not isinstance(obj, dict):
         raise ValueError("corpus grid file must hold a JSON object")
-    known = {f.name for f in fields(CorpusGrid)}
-    unknown = set(obj) - known
+    unknown = set(obj) - set(CorpusGrid._fields)
     if unknown:
         raise ValueError(f"unknown corpus grid fields: {sorted(unknown)}")
     for key, value in obj.items():
@@ -84,7 +85,7 @@ def grid_from_json(obj: dict) -> CorpusGrid:
         key: tuple(value) if isinstance(value, list) else value
         for key, value in obj.items()
     }
-    return replace(DEFAULT_GRID, **overrides)
+    return DEFAULT_GRID._replace(**overrides)
 
 
 def corpus_balls(

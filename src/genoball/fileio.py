@@ -101,4 +101,16 @@ def _dumps(obj: dict) -> str:
 
 
 def save_complex(C: Complex, path: str | Path, name: str | None = None) -> None:
-    Path(path).write_text(_dumps(complex_to_obj(C, name)), encoding="utf-8")
+    """Write ``C`` as a facet file that :func:`load_complex` reads back.
+
+    Raises FileFormatError, and writes nothing, when the format cannot hold
+    the complex: a vertex id below 1, or a name that is not a string.
+    """
+    obj = complex_to_obj(C, name)
+    # facets are sorted tuples, so the first facet starts with the least id
+    least = obj["facets"][0][0]
+    if least < 1:
+        raise FileFormatError(f"vertex ids must be positive integers, got {least!r}")
+    if name is not None and not isinstance(name, str):
+        raise FileFormatError(f'"name" must be a string, got {name!r}')
+    Path(path).write_text(_dumps(obj), encoding="utf-8")

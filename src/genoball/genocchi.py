@@ -35,9 +35,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator, Mapping
 
 __all__ = [
     "G1",
@@ -113,13 +113,13 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return quotient
 
 
-@dataclass(frozen=True)
-class GenocchiTable:
-    """Genocchi numbers G_2 .. G_{max_index}, tagged with the producing method."""
+class GenocchiTable(namedtuple("GenocchiTable", "max_index values method")):
+    """Genocchi numbers G_2 .. G_{max_index}, tagged with the producing method.
 
-    max_index: int
-    values: Mapping[int, int]
-    method: str
+    ``values`` maps each even index to its integer G_index.
+    """
+
+    __slots__ = ()
 
     def genocchi(self, index: int) -> int:
         """G_index for any index covered by the table.
@@ -144,12 +144,13 @@ class GenocchiTable:
         return self.values[index]
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Bernoulli numbers B_0 .. B_{max_index} under the B_1 = -1/2 convention."""
+class BernoulliTable(namedtuple("BernoulliTable", "max_index values")):
+    """Bernoulli numbers B_0 .. B_{max_index} under the B_1 = -1/2 convention.
 
-    max_index: int
-    values: Mapping[int, Fraction]
+    ``values`` maps each index to its Fraction B_index.
+    """
+
+    __slots__ = ()
 
     def bernoulli(self, index: int) -> Fraction:
         if not 0 <= index <= self.max_index:

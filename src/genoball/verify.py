@@ -26,7 +26,7 @@ verification path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .complexes import Complex, FVector
@@ -154,27 +154,31 @@ def required_table_size(n: int) -> int:
     return max(1, n // 2)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    """One evaluated identity: which one, at which dimension, and its residual."""
+class IdentityCheck(
+    namedtuple("IdentityCheck", "identity k residual trivial", defaults=(False,))
+):
+    """One evaluated identity: which one, at which dimension, and its residual.
 
-    identity: str
-    k: int
-    residual: Fraction
-    trivial: bool = False
+    ``residual`` is an exact Fraction; ``trivial`` marks a check that holds
+    by construction.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.residual == 0
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """All identity checks for one ball, in deterministic order."""
+class VerificationReport(
+    namedtuple("VerificationReport", "n checks name", defaults=(None,))
+):
+    """All identity checks for one ball, in deterministic order.
 
-    n: int
-    checks: tuple[IdentityCheck, ...]
-    name: str | None = None
+    ``checks`` is a tuple of :class:`IdentityCheck`; ``name`` may be None.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -681,3 +681,24 @@ def test_runs_on_the_standard_library_alone():
     assert result.returncode == 0, result.stderr
     assert "cross-check: OK" in result.stdout
     assert "all residuals zero" in result.stdout
+
+
+STARTUP_IMPORTS_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import genoball.cli
+print(" ".join(m for m in ("dataclasses", "inspect", "typing") if m in sys.modules))
+"""
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_typing():
+    # every CLI call is a fresh interpreter; these three modules cost it ~10 ms
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", STARTUP_IMPORTS_CHILD, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []

@@ -1,6 +1,8 @@
 """The JSON facet-file format: strict parsing and byte-stable output."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -112,3 +114,39 @@ def test_valid_objects_build_the_same_complex_as_from_facets(obj):
         type(facet) is tuple and all(type(v) is int for v in facet)
         for facet in ball.facets
     )
+
+
+@st.composite
+def _accepted_complexes(draw):
+    """A complex that from_facets accepts, vertex id 0 included."""
+    n = draw(st.integers(1, 4))
+    ids = st.integers(0, 9) | st.integers(0, 2**70)
+    facet = st.lists(ids, min_size=n, max_size=n, unique=True)
+    return from_facets(draw(st.lists(facet, min_size=1, max_size=6)))
+
+
+@given(_accepted_complexes(), st.none() | st.text(max_size=8))
+def test_save_either_refuses_and_writes_nothing_or_round_trips(ball, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ball.json"
+        try:
+            save_complex(ball, path, name)
+        except FileFormatError:
+            assert not path.exists()
+            assert min(ball.vertices) == 0
+            return
+        assert load_complex(path) == (ball, name)
+
+
+def test_save_refuses_vertex_zero(tmp_path):
+    path = tmp_path / "z.json"
+    with pytest.raises(FileFormatError, match="positive integers, got 0"):
+        save_complex(from_facets([[0, 1, 2]]), path)
+    assert not path.exists()
+
+
+def test_save_refuses_a_name_that_is_not_a_string(tmp_path):
+    path = tmp_path / "ball.json"
+    with pytest.raises(FileFormatError, match='"name" must be a string'):
+        save_complex(stacked_ball(3, 2, 1), path, name=7)
+    assert not path.exists()
