@@ -66,53 +66,38 @@ class NoBoundaryError(ComplexError):
     """Every ridge lies in exactly two facets: a sphere candidate, not a ball."""
 
 
-class FVector:
+class FVector(tuple):
     """Face counts by dimension, counts[d] = number of d-faces for 0 <= d < n.
 
-    Lookups outside 0..n-1 return 0, so identity sums need no range guards.
-    The empty face is never counted.  Instances are immutable and compare
-    equal when ``n`` and ``counts`` are.
+    An f-vector is the immutable tuple of its counts: it compares equal to
+    that tuple, hashes like it and serialises to a JSON array, and ``n`` is
+    its length.  Lookups outside 0..n-1 return 0, so identity sums need no
+    range guards.  The empty face is never counted.
     """
 
-    __slots__ = ("n", "counts")
+    __slots__ = ()
 
-    def __init__(self, n: int, counts: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "counts", counts)
+    def __new__(cls, n: int, counts: tuple[int, ...]):
+        if n != len(counts):
+            raise ValueError(f"n = {n} but {len(counts)} counts were given")
+        return super().__new__(cls, counts)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __getnewargs__(self) -> tuple[int, tuple[int, ...]]:
+        return self.n, self.counts
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.n, self.counts)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.counts == other.counts
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.counts))
+    n = property(len)
+    counts = property(tuple)
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(n={self.n!r}, counts={self.counts!r})"
 
     def __getitem__(self, dim: int) -> int:
-        if 0 <= dim < len(self.counts):
-            return self.counts[dim]
+        if 0 <= dim < len(self):
+            return tuple.__getitem__(self, dim)
         return 0
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
     def euler_characteristic(self) -> int:
-        return sum(c if d % 2 == 0 else -c for d, c in enumerate(self.counts))
+        return sum(c if d % 2 == 0 else -c for d, c in enumerate(self))
 
 
 class BallCheckReport(

@@ -15,7 +15,7 @@ facets become a :class:`Complex` as they are, without ``from_facets``.
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
 
 from .complexes import Complex
 
@@ -72,10 +72,11 @@ def complex_to_obj(C: Complex, name: str | None = None) -> dict:
     return obj
 
 
-def load_json(path: str | Path) -> object:
+def load_json(path: str | os.PathLike) -> object:
     """Read one UTF-8 JSON file; bad content is a FileFormatError naming the path."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as file:
+            return json.loads(file.read())
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not valid UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
@@ -84,7 +85,7 @@ def load_json(path: str | Path) -> object:
         raise FileFormatError(f"{path}: JSON nested too deeply") from exc
 
 
-def load_complex(path: str | Path) -> tuple[Complex, str | None]:
+def load_complex(path: str | os.PathLike) -> tuple[Complex, str | None]:
     """Read a facet file; raises FileFormatError on malformed content."""
     return complex_from_obj(load_json(path))
 
@@ -100,7 +101,7 @@ def _dumps(obj: dict) -> str:
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
-def save_complex(C: Complex, path: str | Path, name: str | None = None) -> None:
+def save_complex(C: Complex, path: str | os.PathLike, name: str | None = None) -> None:
     """Write ``C`` as a facet file that :func:`load_complex` reads back.
 
     Raises FileFormatError, and writes nothing, when the format cannot hold
@@ -113,4 +114,5 @@ def save_complex(C: Complex, path: str | Path, name: str | None = None) -> None:
         raise FileFormatError(f"vertex ids must be positive integers, got {least!r}")
     if name is not None and not isinstance(name, str):
         raise FileFormatError(f'"name" must be a string, got {name!r}')
-    Path(path).write_text(_dumps(obj), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(_dumps(obj))

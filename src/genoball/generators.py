@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import itertools
 
-from .complexes import Complex, ComplexError, from_facets
+from .complexes import Complex, ComplexError
 
 __all__ = [
     "SPHERE_FAMILIES",
@@ -58,10 +58,13 @@ class _Lcg:
 
 
 def simplex_ball(n: int) -> Complex:
-    """The full (n-1)-simplex on vertices 1..n, the smallest (n-1)-ball."""
+    """The full (n-1)-simplex on vertices 1..n, the smallest (n-1)-ball.
+
+    Its one facet (1, ..., n) is sorted as built.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return from_facets([range(1, n + 1)])
+    return Complex(frozenset({tuple(range(1, n + 1))}))
 
 
 def stacked_ball(n: int, m: int, seed: int) -> Complex:
@@ -77,6 +80,8 @@ def stacked_ball(n: int, m: int, seed: int) -> Complex:
     glued ridge leaves it and the n-1 ridges through the fresh vertex join
     it, so the build costs O(m*n) steps plus O(m*n) list inserts.  The
     list exists only when m > 1, so ``stacked_ball(n, 1, seed)`` is O(n).
+    Each new facet is a sorted ridge plus a fresh vertex above all before
+    it, so the facets are sorted and distinct.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -88,11 +93,10 @@ def stacked_ball(n: int, m: int, seed: int) -> Complex:
         ridges = list(itertools.combinations(facets[0], n - 1))
         for fresh in range(n + 1, n + m):
             ridge = ridges.pop(rng.below(len(ridges)))
-            # fresh exceeds every vertex so far, so these tuples are sorted
             facets.append(ridge + (fresh,))
             for sub in itertools.combinations(ridge, n - 2):
                 bisect.insort(ridges, sub + (fresh,))
-    return from_facets(facets)
+    return Complex(frozenset(facets))
 
 
 def boundary_sphere(family: str, n: int) -> Complex:
@@ -100,17 +104,19 @@ def boundary_sphere(family: str, n: int) -> Complex:
 
     ``simplex``: the (n-2)-sphere bounding the (n-1)-simplex on vertices
     1..n.  ``cross_polytope``: the (n-1)-sphere on n antipodal vertex
-    pairs (2i-1, 2i), whose 2^n facets are all the sign choices.
+    pairs (2i-1, 2i), whose 2^n facets are all the sign choices.  Both
+    are sorted as built: ``combinations`` keeps the order of 1..n, and the
+    i-th vertex of a cross-polytope facet exceeds those of earlier pairs.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if family == "simplex":
-        return from_facets(itertools.combinations(range(1, n + 1), n - 1))
+        return Complex(frozenset(itertools.combinations(range(1, n + 1), n - 1)))
     if family == "cross_polytope":
         facets = []
         for signs in itertools.product((0, 1), repeat=n):
             facets.append(tuple(2 * i + 1 + s for i, s in enumerate(signs)))
-        return from_facets(facets)
+        return Complex(frozenset(facets))
     raise ValueError(f"unknown sphere family {family!r}")
 
 
@@ -137,11 +143,12 @@ def cone_over_boundary(S: Complex) -> Complex:
     """The cone apex * S over a sphere S, with a fresh apex vertex.
 
     The result is a ball whose boundary is S and whose single interior
-    vertex is the apex.  S must pass the sphere screen.
+    vertex is the apex.  S must pass the sphere screen.  The apex exceeds
+    every vertex of S, so appending it to a sorted facet keeps it sorted.
     """
     _screen_sphere(S)
     apex = max(S.vertices) + 1
-    return from_facets([facet + (apex,) for facet in S.facets])
+    return Complex(frozenset(facet + (apex,) for facet in S.facets))
 
 
 def sphere_minus_facet(S: Complex) -> Complex:
@@ -167,7 +174,9 @@ def barycentric_subdivision(C: Complex) -> Complex:
     prefixes, written as position bitmasks.  The prefix bitmasks of every
     ordering and the positions of every bitmask are tabled once per call,
     so each facet looks up the ids of its 2^n - 1 faces once and no
-    prefix is sorted.
+    prefix is sorted.  Ids grow with dimension and a chain's faces grow in
+    dimension, so every chain is increasing; its last face is its facet of
+    C and its prefixes fix the order, so no two chains are equal.
     """
     vid: dict[tuple[int, ...], int] = {}
     for dim in range(C.n):
@@ -184,4 +193,5 @@ def barycentric_subdivision(C: Complex) -> Complex:
         [0] + [vid[tuple(map(facet.__getitem__, pos))] for pos in positions]
         for facet in C.facets
     )
-    return from_facets(tuple(map(ids.__getitem__, row)) for ids in id_tables for row in rows)
+    chains = (tuple(map(ids.__getitem__, row)) for ids in id_tables for row in rows)
+    return Complex(frozenset(chains))

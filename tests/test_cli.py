@@ -5,11 +5,13 @@ mismatch (a failed self-check included), 2 = input/usage error.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import math
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genoball
 from genoball import cli, genocchi, verify
 from genoball.corpus import corpus_balls
 from genoball.fileio import load_complex, save_complex
@@ -48,9 +51,12 @@ class TestGenocchiCommand:
         assert out.strip() == "2 -1"
 
     def test_zero_is_usage_error(self, capsys):
-        code, _, err = run(["genocchi", "0"], capsys)
-        assert code == 2
-        assert "N must be >= 1" in err
+        # each route raises the error itself; the CLI has no check of its own
+        for argv in (["genocchi", "0"], ["genocchi", "0", "--method", "all"],
+                     ["genocchi", "0", "--method", "bernoulli"]):
+            code, out, err = run(argv, capsys)
+            assert code == 2, argv
+            assert out == "" and err == "error: N must be >= 1, got 0\n", argv
 
     def test_mismatch_exits_one(self, capsys, monkeypatch):
         def broken(N):
@@ -687,12 +693,13 @@ STARTUP_IMPORTS_CHILD = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import genoball.cli
-print(" ".join(m for m in ("dataclasses", "inspect", "typing") if m in sys.modules))
+free = ("dataclasses", "inspect", "typing", "pathlib")
+print(" ".join(m for m in free if m in sys.modules))
 """
 
 
 def test_start_up_imports_no_dataclasses_inspect_or_typing():
-    # every CLI call is a fresh interpreter; these three modules cost it ~10 ms
+    # every CLI call is a fresh interpreter; these four modules cost it ~15 ms
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-I", "-S", "-c", STARTUP_IMPORTS_CHILD, str(src)],
@@ -702,3 +709,19 @@ def test_start_up_imports_no_dataclasses_inspect_or_typing():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+PACKAGE_MODULES = ("complexes", "corpus", "fileio", "generators", "genocchi", "verify")
+
+
+def test_package_re_exports_every_module_all_once():
+    lists = [importlib.import_module(f"genoball.{m}").__all__ for m in PACKAGE_MODULES]
+    names = [name for names in lists for name in names]
+    # disjoint lists, so no star import shadows a name of an earlier one
+    assert len(names) == len(set(names))
+    public = {
+        name
+        for name, value in vars(genoball).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(names)

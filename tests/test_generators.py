@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genoball.complexes import NoBoundaryError
+from genoball.complexes import NoBoundaryError, from_facets
+from genoball.corpus import corpus_balls
 from genoball.generators import (
+    SPHERE_FAMILIES,
     SphereScreenError,
     _Lcg,
     barycentric_subdivision,
@@ -19,6 +21,15 @@ from genoball.generators import (
     sphere_minus_facet,
     stacked_ball,
 )
+
+
+def assert_normal_form(ball):
+    """Facets as Complex takes them: increasing tuples of int ids >= 1."""
+    for facet in ball.facets:
+        assert type(facet) is tuple, facet
+        assert all(type(v) is int and v >= 1 for v in facet), facet
+        assert all(a < b for a, b in zip(facet, facet[1:])), facet
+    assert from_facets(ball.facets) == ball
 
 
 class TestSimplexBall:
@@ -99,7 +110,9 @@ class TestIncrementalStacking:
         seed=st.one_of(st.integers(0, 2**64), st.integers(-(2**64), -1)),
     )
     def test_matches_rescan(self, n, m, seed):
-        assert stacked_ball(n, m, seed).facets == rescan_stacked_facets(n, m, seed)
+        ball = stacked_ball(n, m, seed)
+        assert ball.facets == rescan_stacked_facets(n, m, seed)
+        assert_normal_form(ball)
 
     def test_single_facet_enumerates_no_ridges(self):
         # an eager ridge list would hold 3000 tuples of 2999 vertices (~72 MB)
@@ -241,3 +254,24 @@ def test_every_generated_ball_passes_screen(ball, n):
     assert report.ok
     assert report.euler_char_ball == 1
     assert report.euler_char_boundary == 1 + (-1) ** n
+
+
+def _normal_form_cases():
+    yield from corpus_balls()
+    for family in SPHERE_FAMILIES:
+        for n in range(2, 7):
+            sphere = boundary_sphere(family, n)
+            yield f"{family}-{n}", sphere
+            yield f"cone-{family}-{n}", cone_over_boundary(sphere)
+            yield f"minus-facet-{family}-{n}", sphere_minus_facet(sphere)
+    for n, m, seed in [(2, 3, 1), (3, 1, 1), (3, 4, 2), (4, 3, 5), (5, 2, 7)]:
+        yield f"sd-stacked-{n}-{m}-{seed}", barycentric_subdivision(stacked_ball(n, m, seed))
+
+
+def test_generators_emit_normal_form():
+    # the generators hand their facets to Complex as they are, unnormalized
+    for name, ball in _normal_form_cases():
+        try:
+            assert_normal_form(ball)
+        except AssertionError as exc:
+            raise AssertionError(f"{name}: {exc}") from exc

@@ -4,6 +4,8 @@ Every record prints, compares and refuses assignment the same way whatever
 class machinery builds it, so these tests pin the observable behaviour only.
 """
 
+import copy
+import json
 import pickle
 from fractions import Fraction
 
@@ -159,6 +161,14 @@ def test_fvector_keeps_its_own_sequence_protocol():
     assert len(fv) == 3
     assert fv[5] == 0
     assert hash(fv) == hash(FVector(3, (3, 3, 1)))
+    # it is the tuple of its counts, and n is that tuple's length
+    with pytest.raises(ValueError):
+        FVector(3, (1, 2))
+    fv = FVector(2, (4, 3))
+    assert fv == (4, 3) and hash(fv) == hash((4, 3))
+    assert json.dumps(fv) == "[4, 3]"
+    assert copy.deepcopy(fv) == fv and type(copy.deepcopy(fv)) is FVector
+    assert fv[-1] == fv[len(fv)] == 0
 
 
 def test_grid_from_json_rejects_unknown_fields():
