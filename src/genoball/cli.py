@@ -20,7 +20,7 @@ import functools
 import json
 import sys
 
-from .complexes import Complex, FVector
+from .complexes import FVector
 from .corpus import BALL_NAMES, DEFAULT_GRID, corpus_balls, grid_from_json
 from .fileio import load_complex, load_json, save_complex
 from .generators import (
@@ -33,7 +33,6 @@ from .generators import (
     stacked_ball,
 )
 from .genocchi import (
-    GenocchiTable,
     SelfCheckError,
     genocchi_by_bernoulli,
     genocchi_by_recursion_even,
@@ -41,6 +40,7 @@ from .genocchi import (
     genocchi_by_series,
 )
 from .verify import (
+    BallCheckError,
     VerificationReport,
     format_residual,
     required_table_size,
@@ -59,18 +59,14 @@ def _cmd_genocchi(args: argparse.Namespace) -> int:
     # every route raises ValueError for N < 1, which main turns into exit 2
     N = args.N
     if args.method == "all":
-        tables = {name: fn(N) for name, fn in _METHODS.items()}
-        names = list(_METHODS)
-        print("index  " + "  ".join(f"{name:>16}" for name in names))
+        tables = [fn(N).values for fn in _METHODS.values()]
+        print("index  " + "  ".join(f"{name:>16}" for name in _METHODS))
         for n in range(1, N + 1):
-            row = "  ".join(f"{tables[name].values[2 * n]:>16}" for name in names)
+            row = "  ".join(f"{values[2 * n]:>16}" for values in tables)
             print(f"{2 * n:>5}  {row}")
-        reference = tables[names[0]].values
-        if all(tables[name].values == reference for name in names):
-            print("cross-check: OK")
-            return 0
-        print("cross-check: MISMATCH")
-        return 1
+        agree = all(values == tables[0] for values in tables)
+        print("cross-check: OK" if agree else "cross-check: MISMATCH")
+        return 0 if agree else 1
     table = _METHODS[args.method](N)
     for n in range(1, N + 1):
         print(f"{2 * n} {table.values[2 * n]}")
@@ -115,12 +111,10 @@ def _cmd_fvector(args: argparse.Namespace) -> int:
     census = ball.census()
     print(_row("f(B)", census.f))
     if not census.report.ok:
-        print(
-            "error: boundary/interior rows need the ball screen to pass: "
-            + "; ".join(census.report.failures()),
-            file=sys.stderr,
+        raise BallCheckError(
+            "boundary/interior rows need the ball screen to pass: "
+            + "; ".join(census.report.failures())
         )
-        return 2
     # a point (n = 1) has an empty boundary row: "f(∂B) =" with no counts
     print(_row("f(∂B)", census.f_boundary))
     print(_row("f(int B)", census.f_interior))
@@ -131,14 +125,8 @@ def _row(label: str, f: FVector) -> str:
     return " ".join([f"{label} =", *map(str, f)])
 
 
-def _table_for(balls: list[tuple[str, Complex]]) -> GenocchiTable:
-    N = max(required_table_size(ball.n) for _, ball in balls)
-    return genocchi_by_recursion_even(N)
-
-
 def _print_report(report: VerificationReport) -> None:
-    label = report.name or "<unnamed>"
-    print(f"ball {label} (n={report.n}, {len(report.checks)} checks)")
+    print(f"ball {report.name} (n={report.n}, {len(report.checks)} checks)")
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         suffix = " (trivial)" if check.trivial else ""
@@ -156,47 +144,41 @@ def _json_report(reports: list[VerificationReport], corpus: bool) -> str:
 
     Byte-identical to json.dumps(payload, indent=2), where the payload is
     {"pass", "balls": [ball, ...]} for the corpus and one ball object
-    {"name", "n", "pass", "entries"} for a file.  Every string goes
-    through json.dumps, so the escaping is the encoder's.
+    {"name", "n", "pass", "entries"} for a file, indented one level in the
+    corpus (json.dumps escapes every newline, so each line is indented).
+    Names and identities go through json.dumps; residual digits need none.
     """
     if not corpus:
-        return _json_ball(reports[0], "")
-    balls = [_json_ball(report, "    ") for report in reports]
+        return _json_ball(reports[0])
+    balls = (_json_ball(report).replace("\n", "\n    ") for report in reports)
     return (
         f'{{\n  "pass": {_JSON_BOOL[all(r.passed for r in reports)]},\n'
-        f'  "balls": {_json_list(balls, "  ")}\n}}'
+        '  "balls": [\n    ' + ",\n    ".join(balls) + "\n  ]\n}"
     )
 
 
-def _json_ball(report: VerificationReport, pad: str) -> str:
-    """One ball object at indent ``pad``; its entries carry big integers
+def _json_ball(report: VerificationReport) -> str:
+    """One ball object at the top level; its entries carry big integers
     as decimal strings."""
-    p1, p2 = pad + "  ", pad + "    "
-    p3 = p2 + "  "
-    entries = [
-        f'{p2}{{\n'
-        f'{p3}"identity": {json.dumps(check.identity)},\n'
-        f'{p3}"n": {report.n},\n'
-        f'{p3}"k": {check.k},\n'
-        f'{p3}"residual_numerator": {json.dumps(str(check.residual.numerator))},\n'
-        f'{p3}"residual_denominator": {json.dumps(str(check.residual.denominator))},\n'
-        f'{p3}"pass": {_JSON_BOOL[check.passed]}\n'
-        f"{p2}}}"
+    entries = ",\n".join(
+        "    {\n"
+        f'      "identity": {json.dumps(check.identity)},\n'
+        f'      "n": {report.n},\n'
+        f'      "k": {check.k},\n'
+        f'      "residual_numerator": "{check.residual.numerator}",\n'
+        f'      "residual_denominator": "{check.residual.denominator}",\n'
+        f'      "pass": {_JSON_BOOL[check.passed]}\n'
+        "    }"
         for check in report.checks
-    ]
-    return (
-        f"{pad}{{\n"
-        f'{p1}"name": {json.dumps(report.name)},\n'
-        f'{p1}"n": {report.n},\n'
-        f'{p1}"pass": {_JSON_BOOL[report.passed]},\n'
-        f'{p1}"entries": {_json_list(entries, p1)}\n'
-        f"{pad}}}"
     )
-
-
-def _json_list(items: list[str], pad: str) -> str:
-    """A nonempty JSON array of already indented items, closed at ``pad``."""
-    return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    return (
+        "{\n"
+        f'  "name": {json.dumps(report.name)},\n'
+        f'  "n": {report.n},\n'
+        f'  "pass": {_JSON_BOOL[report.passed]},\n'
+        f'  "entries": [\n{entries}\n  ]\n'
+        "}"
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -214,7 +196,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("--grid and --max-n apply only with --corpus")
         ball, name = load_complex(args.input)
         balls = [(name or str(args.input), ball)]
-    table = _table_for(balls)
+    table = genocchi_by_recursion_even(max(required_table_size(b.n) for _, b in balls))
     # Pop each ball as it is verified, so that its facets and census are
     # freed before the next one is expanded.
     balls.reverse()

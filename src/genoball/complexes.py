@@ -91,8 +91,9 @@ class FVector(tuple):
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(n={self.n!r}, counts={self.counts!r})"
 
-    def __getitem__(self, dim: int) -> int:
-        if 0 <= dim < len(self):
+    def __getitem__(self, dim: int | slice) -> int | tuple[int, ...]:
+        # a slice goes to the tuple; only an int outside 0..n-1 reads 0
+        if not isinstance(dim, int) or 0 <= dim < len(self):
             return tuple.__getitem__(self, dim)
         return 0
 

@@ -257,23 +257,29 @@ def genocchi_by_recursion_odd(N: int) -> GenocchiTable:
     """G_2 .. G_{2N} via G_{2n} = -1 - sum_{k=1}^{n-1} C(2n, 2k-1) G_{2k}/(2k).
 
     Step n sums over the common denominator L = lcm(2, 4, ..., 2n-2)
-    (L = 1 for n = 1): G_{2n} = (-L - sum_k C(2n, 2k-1) G_{2k} (L/(2k))) / L.
-    The weights L/(2k) and the one division by L per step are checked to
-    be exact.  Step n reads C(2n, 2k-1) from row 2n of Pascal's triangle.
+    (L = 1 for n = 1): G_{2n} = (-L - sum_k C(2n, 2k-1) W_k) / L with the
+    weighted values W_k = G_{2k} L/(2k).  The W_k stay on the current L:
+    when L grows they are multiplied by the ratio of the new L to the old,
+    then W_{n-1} = G_{2n-2} L/(2n-2) is appended.  The ratio, the new
+    weight's L/(2n-2) and the one division by L per step are checked to
+    be exact; an older W_k is only ever multiplied, so it stays exact.
+    Step n reads C(2n, 2k-1) from row 2n of Pascal's triangle.
     """
     _require_positive(N)
     G = [0]  # G[k] = G_{2k}; G[0] is never read
+    W: list[int] = []  # W[k-1] = G_{2k} L/(2k) on the current L
     L = 1
     rows = itertools.islice(_binomial_rows(2 * N), 2, None, 2)
     for n, row in enumerate(rows, start=1):
         if n > 1:
-            L = math.lcm(L, 2 * n - 2)
-        acc = -L
-        for k in range(1, n):
-            weight, remainder = divmod(L, 2 * k)
-            if remainder:  # raises; the message is built only here
-                _exact_div(L, 2 * k, f"lcm(2..{2 * n - 2}) / {2 * k}")
-            acc -= row[2 * k - 1] * G[k] * weight
+            grown = math.lcm(L, 2 * n - 2)
+            if grown != L:
+                ratio = _exact_div(grown, L, f"lcm(2..{2 * n - 2}) / lcm(2..{2 * n - 4})")
+                W = [w * ratio for w in W]
+                L = grown
+            scale = _exact_div(L, 2 * n - 2, f"lcm(2..{2 * n - 2}) / {2 * n - 2}")
+            W.append(G[n - 1] * scale)
+        acc = -L - sum(map(operator.mul, row[1 : 2 * n - 1 : 2], W))
         G.append(_exact_div(acc, L, f"G_{2 * n}"))
     values = {2 * k: G[k] for k in range(1, N + 1)}
     return GenocchiTable(max_index=2 * N, values=values, method="recursion-odd")

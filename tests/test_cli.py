@@ -211,13 +211,38 @@ class TestFvectorCommand:
         assert code == 0
         assert out == "f(B) = 1\nf(∂B) =\nf(int B) = 1\n"
 
-    def test_disjoint_triangles_fail_screen(self, tmp_path, capsys):
-        path = tmp_path / "dis.json"
-        path.write_text('{"n": 3, "facets": [[1,2,3],[4,5,6]]}')
+    @pytest.mark.parametrize(
+        "facets, row, failures",
+        [
+            (
+                "[[1,2,3],[4,5,6]]",
+                "6 6 2",
+                "facet-adjacency graph is disconnected; Euler characteristic 2 != 1",
+            ),
+            (
+                "[[1,2,3],[1,2,4],[1,2,5]]",
+                "5 7 3",
+                "a ridge lies in more than two facets; "
+                "boundary Euler characteristic -1 != 0",
+            ),
+            (
+                "[[1,3,5],[1,3,6],[1,4,5],[1,4,6],[2,3,5],[2,3,6],[2,4,5],[2,4,6]]",
+                "6 12 8",
+                "no boundary ridge (sphere candidate, not a ball); "
+                "Euler characteristic 2 != 1",
+            ),
+        ],
+        ids=["disconnected", "ridge-overflow", "octahedron"],
+    )
+    def test_disjoint_triangles_fail_screen(self, tmp_path, capsys, facets, row, failures):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"n": 3, "facets": {facets}}}')
         code, out, err = run(["fvector", str(path)], capsys)
         assert code == 2
-        assert "f(B) = 6 6 2" in out  # the raw row does not need the screen
-        assert "disconnected" in err
+        assert out == f"f(B) = {row}\n"  # the raw row does not need the screen
+        assert err == (
+            f"error: boundary/interior rows need the ball screen to pass: {failures}\n"
+        )
 
 
 class TestVerifyCommand:

@@ -249,6 +249,19 @@ class TestRecursionOdd:
         ):
             genocchi_by_recursion_odd(2)
 
+    def test_lcm_ratio_is_checked(self, monkeypatch):
+        # right at n = 2 (lcm(1, 2) = 2), wrong at n = 3: lcm(2, 4) + 1 = 5
+        # is no multiple of 2, so the weights cannot be rescaled exactly
+        fake_math = types.SimpleNamespace(
+            factorial=math.factorial, lcm=lambda a, b: math.lcm(a, b) + (b == 4)
+        )
+        monkeypatch.setattr(genocchi, "math", fake_math)
+        with pytest.raises(
+            SelfCheckError,
+            match=r"^lcm\(2\.\.4\) / lcm\(2\.\.2\) must be an integer, got 5/2$",
+        ):
+            genocchi_by_recursion_odd(4)
+
 
 class TestBernoulli:
     def test_convention(self):

@@ -169,6 +169,9 @@ def test_fvector_keeps_its_own_sequence_protocol():
     assert json.dumps(fv) == "[4, 3]"
     assert copy.deepcopy(fv) == fv and type(copy.deepcopy(fv)) is FVector
     assert fv[-1] == fv[len(fv)] == 0
+    # a slice is a slice of the counts
+    fv = FVector(3, (1, 2, 3))
+    assert fv[1:] == (2, 3) and fv[::-1] == (3, 2, 1)
 
 
 def test_grid_from_json_rejects_unknown_fields():
