@@ -73,37 +73,37 @@ def _cmd_genocchi(args: argparse.Namespace) -> int:
     return 0
 
 
+_OPTIONS = {
+    "n": dict(type=int, required=True, help="ambient parameter (vertices per facet)"),
+    "m": dict(type=int, required=True, help="facet count"),
+    "seed": dict(type=int, default=1, help="stacking seed (default 1)"),
+    "base": dict(choices=SPHERE_FAMILIES, required=True, help="sphere family"),
+    "in": dict(dest="infile", required=True, help="input facet file"),
+}
+
+# generate family -> (the options it reads, its builder from the parsed arguments)
+_FAMILIES = {
+    "simplex": (("n",), lambda a: simplex_ball(a.n)),
+    "stacked": (("n", "m", "seed"), lambda a: stacked_ball(a.n, a.m, a.seed)),
+    "cone": (("base", "n"), lambda a: cone_over_boundary(boundary_sphere(a.base, a.n))),
+    "sphere-minus-facet": (
+        ("base", "n"),
+        lambda a: sphere_minus_facet(boundary_sphere(a.base, a.n)),
+    ),
+    "barycentric": (("in",), None),  # reads a file: built in _cmd_generate
+}
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "simplex":
-        _need(args, "n")
-        ball = simplex_ball(args.n)
-    elif family == "stacked":
-        _need(args, "n", "m")
-        ball = stacked_ball(args.n, args.m, args.seed)
-    elif family == "cone":
-        _need(args, "base", "n")
-        ball = cone_over_boundary(boundary_sphere(args.base, args.n))
-    elif family == "sphere-minus-facet":
-        _need(args, "base", "n")
-        ball = sphere_minus_facet(boundary_sphere(args.base, args.n))
-    else:  # barycentric
-        if args.infile is None:
-            raise ValueError("family barycentric requires --in FILE")
+    if args.family == "barycentric":
         source, source_name = load_complex(args.infile)
         ball = barycentric_subdivision(source)
-        name = BALL_NAMES[family].format(name=source_name) if source_name else "sd"
-    if family != "barycentric":
-        name = BALL_NAMES[family].format_map(vars(args))
+        name = BALL_NAMES["barycentric"].format(name=source_name) if source_name else "sd"
+    else:
+        ball = args.build(args)
+        name = BALL_NAMES[args.family].format_map(vars(args))
     save_complex(ball, args.out, name)
     return 0
-
-
-def _need(args: argparse.Namespace, *fields: str) -> None:
-    missing = [f for f in fields if getattr(args, f) is None]
-    if missing:
-        flags = ", ".join(f"--{f}" for f in missing)
-        raise ValueError(f"family {args.family} requires {flags}")
 
 
 def _cmd_fvector(args: argparse.Namespace) -> int:
@@ -139,17 +139,15 @@ def _print_report(report: VerificationReport) -> None:
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _json_report(reports: list[VerificationReport], corpus: bool) -> str:
-    """The `verify --json` text, written directly.
+def _json_corpus(reports: list[VerificationReport]) -> str:
+    """The `verify --corpus --json` text, written directly.
 
     Byte-identical to json.dumps(payload, indent=2), where the payload is
-    {"pass", "balls": [ball, ...]} for the corpus and one ball object
-    {"name", "n", "pass", "entries"} for a file, indented one level in the
-    corpus (json.dumps escapes every newline, so each line is indented).
-    Names and identities go through json.dumps; residual digits need none.
+    {"pass", "balls": [ball, ...]} and each ball is the object that
+    `_json_ball` writes for a file, indented one level (json.dumps escapes
+    every newline, so each line is indented).  Names and identities go
+    through json.dumps; residual digits need none.
     """
-    if not corpus:
-        return _json_ball(reports[0])
     balls = (_json_ball(report).replace("\n", "\n    ") for report in reports)
     return (
         f'{{\n  "pass": {_JSON_BOOL[all(r.passed for r in reports)]},\n'
@@ -206,7 +204,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         reports.append(verify_ball(ball, table, name=name))
     all_pass = all(r.passed for r in reports)
     if args.json:
-        print(_json_report(reports, args.corpus))
+        print(_json_corpus(reports) if args.corpus else _json_ball(reports[0]))
     elif args.corpus:
         for report in reports:
             verdict = "PASS" if report.passed else "FAIL"
@@ -240,18 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_genocchi)
 
     p = sub.add_parser("generate", help="write a generated ball to a facet file")
-    p.add_argument("family", choices=list(BALL_NAMES))
-    p.add_argument("--n", type=int, help="ambient parameter (vertices per facet)")
-    p.add_argument("--m", type=int, help="facet count (stacked)")
-    p.add_argument("--seed", type=int, default=1, help="stacking seed (default 1)")
-    p.add_argument(
-        "--base",
-        choices=SPHERE_FAMILIES,
-        help="sphere family (cone, sphere-minus-facet)",
-    )
-    p.add_argument("--in", dest="infile", help="input facet file (barycentric)")
-    p.add_argument("--out", required=True, help="output facet file")
-    p.set_defaults(func=_cmd_generate)
+    families = p.add_subparsers(dest="family", required=True)
+    for family, (options, build) in _FAMILIES.items():
+        q = families.add_parser(family)
+        for option in options:
+            q.add_argument(f"--{option}", **_OPTIONS[option])
+        q.add_argument("--out", required=True, help="output facet file")
+        q.set_defaults(func=_cmd_generate, build=build)
 
     p = sub.add_parser("fvector", help="print total/boundary/interior f-vectors")
     p.add_argument("input", help="facet file")

@@ -208,8 +208,7 @@ class Complex:
         """All faces of the given dimension (empty set outside 0..n-1), expanded anew."""
         if not 0 <= dim < self.n:
             return frozenset()
-        combos = (itertools.combinations(facet, dim + 1) for facet in self.facets)
-        return frozenset(itertools.chain.from_iterable(combos))
+        return frozenset(_subsets(self.facets, dim + 1))
 
     def f_vector(self) -> FVector:
         """Counts of distinct i-faces for i = 0 .. n-1, one dimension at a time."""

@@ -9,6 +9,7 @@ import importlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import types
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import genoball
 from genoball import cli, genocchi, verify
-from genoball.corpus import corpus_balls
+from genoball.corpus import BALL_NAMES, corpus_balls
 from genoball.fileio import load_complex, save_complex
 from genoball.generators import simplex_ball, stacked_ball
 from genoball.verify import IdentityCheck, VerificationReport, verify_ball
@@ -106,6 +107,23 @@ class TestGenocchiCommand:
         assert "cross-check" not in out
 
 
+# The options each generate family reads, with a valid value for each.
+GENERATE_OPTIONS = {
+    "simplex": {"n": "3"},
+    "stacked": {"n": "3", "m": "2", "seed": "1"},
+    "cone": {"base": "simplex", "n": "3"},
+    "sphere-minus-facet": {"base": "simplex", "n": "3"},
+    "barycentric": {"in": "{src}"},
+}
+
+
+def generate_argv(family, src, drop=None):
+    """`generate FAMILY` with each of its options but `drop`, reading `src`."""
+    options = GENERATE_OPTIONS[family].items()
+    return ["generate", family,
+            *(a for o, v in options if o != drop for a in (f"--{o}", v.format(src=src)))]
+
+
 class TestGenerateCommand:
     def test_simplex(self, tmp_path, capsys):
         out_file = tmp_path / "simplex.json"
@@ -171,13 +189,57 @@ class TestGenerateCommand:
         ball, name = load_complex(out_file)
         assert dict(corpus_balls())[name] == ball
 
-    def test_missing_param_is_usage_error(self, tmp_path, capsys):
-        code, _, err = run(
-            ["generate", "stacked", "--n", "3", "--out", str(tmp_path / "x.json")],
-            capsys,
-        )
+    @pytest.mark.parametrize(
+        "family, option",
+        [(family, option) for family, options in GENERATE_OPTIONS.items()
+         for option in options if option != "seed"],
+    )
+    def test_missing_param_is_usage_error(self, tmp_path, capsys, family, option):
+        argv = generate_argv(family, tmp_path / "src.json", drop=option)
+        out_file = tmp_path / "x.json"
+        code, out, err = run([*argv, "--out", str(out_file)], capsys)
         assert code == 2
-        assert "--m" in err
+        assert out == ""
+        assert f"error: the following arguments are required: --{option}\n" in err
+        assert "Traceback" not in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "family, extra",
+        [("simplex", ["--m", "5"]), ("stacked", ["--base", "simplex"]),
+         ("cone", ["--seed", "2"]), ("barycentric", ["--n", "3"])],
+        ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"),
+    )
+    def test_unread_option_is_usage_error(self, tmp_path, capsys, family, extra):
+        # each family accepts only the options it reads
+        src = tmp_path / "src.json"
+        save_complex(simplex_ball(3), src, name="tri")
+        out_file = tmp_path / "x.json"
+        code, out, err = run([*generate_argv(family, src), *extra, "--out", str(out_file)],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: unrecognized arguments: {' '.join(extra)}\n" in err
+        assert not out_file.exists()
+
+    def test_families_are_the_ball_families(self):
+        assert set(cli._FAMILIES) == set(BALL_NAMES)
+
+    @pytest.mark.parametrize("family", GENERATE_OPTIONS)
+    def test_help_lists_the_family_options(self, capsys, family):
+        code, out, _ = run(["generate", family, "--help"], capsys)
+        assert code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z]+", out))
+        assert listed == {f"--{o}" for o in GENERATE_OPTIONS[family]} | {"--help", "--out"}
+
+    def test_builders_call_the_generators_of_the_cli_module(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the benchmark's tracer times a generator by replacing it in this module
+        calls = []
+        monkeypatch.setattr(cli, "stacked_ball", lambda *a: calls.append(a) or stacked_ball(*a))
+        code, _, _ = run(["generate", "stacked", "--n", "3", "--m", "2",
+                          "--out", str(tmp_path / "x.json")], capsys)
+        assert code == 0 and calls == [(3, 2, 1)]
 
     def test_output_round_trips_through_verify(self, tmp_path, capsys):
         out_file = tmp_path / "ball.json"
@@ -282,7 +344,7 @@ class TestVerifyCommand:
     def test_json_entries(self):
         report = verify_ball(simplex_ball(4), genocchi.genocchi_by_recursion_even(2),
                              name="simplex-n4")
-        entries = json.loads(cli._json_report([report], corpus=False))["entries"]
+        entries = json.loads(cli._json_ball(report))["entries"]
         assert all(
             set(e) == {"identity", "n", "k", "residual_numerator",
                        "residual_denominator", "pass"}
@@ -516,9 +578,12 @@ _reports = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(reports=st.lists(_reports, min_size=1, max_size=3), corpus=st.booleans())
 def test_json_report_is_json_dumps_indent_2(reports, corpus):
-    if not corpus:
+    # _json_corpus writes the corpus report, _json_ball the report of a file
+    if corpus:
+        text = cli._json_corpus(reports)
+    else:
         reports = reports[:1]
-    text = cli._json_report(reports, corpus)
+        text = cli._json_ball(reports[0])
     assert text == _ref_json_report(reports, corpus)
 
 
