@@ -180,8 +180,10 @@ def _json_ball(report: VerificationReport) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.corpus == (args.input is not None):
-        raise ValueError("give exactly one of FILE or --corpus")
+    # argparse takes exactly one of FILE or --corpus; the corpus options are
+    # checked here, and refused with the same usage message
+    if not args.corpus and (args.grid is not None or args.max_n is not None):
+        args.usage_error("--grid and --max-n apply only with --corpus")
     if args.corpus:
         grid = DEFAULT_GRID
         if args.grid is not None:
@@ -190,8 +192,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not balls:
             raise ValueError("corpus is empty (check --max-n / --grid)")
     else:
-        if args.grid is not None or args.max_n is not None:
-            raise ValueError("--grid and --max-n apply only with --corpus")
         ball, name = load_complex(args.input)
         balls = [(name or str(args.input), ball)]
     table = genocchi_by_recursion_even(max(required_table_size(b.n) for _, b in balls))
@@ -251,12 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fvector)
 
     p = sub.add_parser("verify", help="verify the f-vector identities exactly")
-    p.add_argument("input", nargs="?", help="facet file")
-    p.add_argument("--corpus", action="store_true", help="run the built-in corpus")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("input", nargs="?", help="facet file")
+    source.add_argument("--corpus", action="store_true", help="run the built-in corpus")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--max-n", type=int, help="corpus: keep balls with ambient n <= N")
     p.add_argument("--grid", help="corpus: JSON grid file overriding the default")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, usage_error=p.error)
 
     return parser
 

@@ -1,15 +1,21 @@
 """Pure simplicial complexes, f-vectors, boundaries, interior face counts.
 
-A complex is stored by its facet set alone.  Its census generates each
-facet's ridges once, reads the top counts off the ridge -> facets map
-(facets, ridges, boundary ridges) and recovers every lower face by
-explicit subset expansion with deduplication.  Each facet is expanded
-once per subset size, and each subset is sorted into the boundary's
-faces or the rest by which boundary ridges of its facet it lies in, so
-one expansion counts the complex and its boundary.  That is deliberate:
-the corpus lives at desk scale (at most ~10^6 faces) and exact,
-obviously correct counting beats clever closure algebra here.  The
-boundary complex is built only when :meth:`Complex.boundary` is called.
+A complex is stored by its facet set alone.  Its census is four named
+steps.  The ridge pass generates each facet's ridges once and records
+which facets share each ridge in one flat integer array, ``partner``:
+slot i*n + r is the r-th ridge of facet i, and the facet across
+position p of facet i is partner[i*n + n-1-p] // n, or none when that
+slot holds -1.  The adjacency search, the boundary ridges and the
+boundary positions of each facet all read that array, and the top counts
+(facets, ridges, boundary ridges) come off the pass.  Every lower face
+is recovered by explicit subset expansion with deduplication.  Each
+facet is expanded once per subset size, and each subset is sorted into
+the boundary's faces or the rest by which boundary ridges of its facet
+it lies in, so one expansion counts the complex and its boundary.  That
+is deliberate: the corpus lives at desk scale (at most ~10^6 faces) and
+exact, obviously correct counting beats clever closure algebra here.
+The last step screens the counts.  The boundary complex is built only
+when :meth:`Complex.boundary` is called.
 
 Faces are strictly increasing tuples of nonnegative integer vertex ids.
 The ambient parameter n is the number of vertices per facet, so a complex
@@ -21,7 +27,7 @@ materialized as a complex.
 from __future__ import annotations
 
 import itertools
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -217,14 +223,16 @@ class Complex:
     def census(self) -> "Census":
         """Everything ``verify`` and ``fvector`` need, computed once and cached.
 
-        One pass over the facets builds the ridge -> facets map and, for
-        each facet, the holder lists of its ridges; the ridge check, the
-        boundary ridges, the facet-adjacency search, the top two counts of
-        f and the top count of f(boundary) all read them, and no ridge is
-        generated twice.  Only dimensions 0..n-3 are expanded, each facet
-        once per dimension, and that one expansion counts both this
-        complex and its boundary; :meth:`faces` and :meth:`f_vector` are
-        not called and no :class:`Complex` is built.  Never raises.
+        The census runs four steps: a ridge pass that records, in one
+        integer array, which facets share each ridge; an adjacency search
+        over that array; the face counts; and the ball screen.  The ridge
+        check, the boundary ridges, the adjacency search, the top two
+        counts of f and the top count of f(boundary) all read the ridge
+        pass, and no ridge is generated twice.  Only dimensions 0..n-3 are
+        expanded, each facet once per dimension, and that one expansion
+        counts both this complex and its boundary; :meth:`faces` and
+        :meth:`f_vector` are not called and no :class:`Complex` is built.
+        Never raises.
         """
         census = self._census
         if census is None:
@@ -234,49 +242,25 @@ class Complex:
 
     def _take_census(self) -> "Census":
         n = self.n
-        # on_ridge[F] lists the holders of F's ridges in combinations
-        # order; the i-th ridge drops position n - 1 - i of F
-        by_ridge: dict[Face, list[Face]] = {}
-        on_ridge: dict[Face, list[list[Face]]] = {}
-        for facet in self.facets:
-            holders = on_ridge[facet] = []
-            for ridge in itertools.combinations(facet, n - 1):
-                holder = by_ridge.setdefault(ridge, [])
-                holder.append(facet)
-                holders.append(holder)
-        overflow = next(((r, len(h)) for r, h in by_ridge.items() if len(h) > 2), None)
-        boundary_ridges = frozenset(r for r, h in by_ridge.items() if len(h) == 1)
-
-        start = next(iter(self.facets))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            for holder in on_ridge[queue.popleft()]:
-                for nb in holder:
-                    if nb not in seen:
-                        seen.add(nb)
-                        queue.append(nb)
-
-        # f_{n-1} and f_{n-2} are read off the ridge map.  For n = 1 its only
-        # key is the empty face, which is not counted, and the boundary of a
-        # point is the empty complex, which has no faces to count
-        lower, lower_bd = _lower_face_counts(on_ridge, n)
-        ridges = (len(by_ridge),) if n >= 2 else ()
-        f = FVector(n, lower + ridges + (len(self.facets),))
-        f_bd = FVector(n - 1, lower_bd + (len(boundary_ridges),) if n >= 2 else ())
-        report = BallCheckReport(
-            n=n,
-            ridge_incidence_ok=overflow is None,
-            has_boundary=bool(boundary_ridges),
-            dual_graph_connected=len(seen) == len(self.facets),
-            euler_char_ball=f.euler_characteristic(),
-            euler_char_boundary=f_bd.euler_characteristic(),
+        facets = list(self.facets)
+        first, partner, crowded = _ridge_pass(facets, n)
+        overflow = _first_overflow(facets, n, partner, crowded)
+        boundary_ridges = frozenset(
+            itertools.compress(first, [partner[k] < 0 for k in first.values()])
         )
+        connected = _connected(partner, n, len(facets))
+        lower, lower_bd = _lower_face_counts(_boundary_groups(facets, n, partner), n)
+        # f_{n-1} and f_{n-2} are read off the ridge pass.  For n = 1 its only
+        # ridge is the empty face, which is not counted, and the boundary of a
+        # point is the empty complex, which has no faces to count
+        ridges = (len(first),) if n >= 2 else ()
+        f = FVector(n, lower + ridges + (len(facets),))
+        f_bd = FVector(n - 1, lower_bd + (len(boundary_ridges),) if n >= 2 else ())
         return Census(
             f=f,
             f_boundary=f_bd,
             f_interior=FVector(n, tuple(f[d] - f_bd[d] for d in range(n))),
-            report=report,
+            report=_screen(n, f, f_bd, overflow is None, bool(boundary_ridges), connected),
             boundary_ridges=boundary_ridges,
             ridge_overflow=overflow,
         )
@@ -321,36 +305,131 @@ class Complex:
         return from_facets([[mapping[v] for v in f] for f in self.facets])
 
 
+def _ridge_pass(
+    facets: list[Face], n: int
+) -> tuple[dict[Face, int], list[int], list[int]]:
+    """Which facets share each ridge, in one flat array; one dict operation per ridge.
+
+    Slot k = i*n + r stands for the r-th ridge of facets[i] in
+    combinations order, the ridge that drops position n - 1 - r.
+    ``first`` maps each ridge to its first slot.  ``partner[k]`` is -1
+    for a ridge held by one facet; otherwise the holders of a ridge form
+    a ring of slots, each pointing at the next, so two holders point at
+    each other.  ``crowded`` lists the first slot of each ridge whenever
+    its ring grows past two holders.
+    """
+    first: dict[Face, int] = {}
+    setdefault = first.setdefault
+    partner = [-1] * (len(facets) * n)
+    crowded = []
+    k = 0
+    for facet in facets:
+        for ridge in itertools.combinations(facet, n - 1):
+            j = setdefault(ridge, k)
+            if j != k:
+                p = partner[j]
+                if p < 0:
+                    partner[k] = j
+                else:
+                    partner[k] = p
+                    crowded.append(j)
+                partner[j] = k
+            k += 1
+    return first, partner, crowded
+
+
+def _first_overflow(
+    facets: list[Face], n: int, partner: list[int], crowded: list[int]
+) -> tuple[Face, int] | None:
+    """The ridge in three or more facets first seen in the ridge pass, with its count."""
+    if not crowded:
+        return None
+    j = min(crowded)
+    count, k = 1, partner[j]
+    while k != j:
+        count, k = count + 1, partner[k]
+    facet, p = facets[j // n], n - 1 - j % n
+    return facet[:p] + facet[p + 1:], count
+
+
+def _connected(partner: list[int], n: int, m: int) -> bool:
+    """Whether the facet-adjacency graph is connected: a search from facet 0.
+
+    The facet across slot k is partner[k] // n.  A boundary slot gives
+    -1 // n == -1, and ``seen[-1]``, the extra last byte, is preset, so
+    the search skips it; -1 must never index a list of facets, where it
+    would read the last facet's row.
+    """
+    across = [k // n for k in partner]
+    seen = bytearray(m + 1)
+    seen[0] = seen[m] = 1
+    order = [0]
+    for i in order:  # grows while it is read
+        for j in across[i * n:i * n + n]:
+            if not seen[j]:
+                seen[j] = 1
+                order.append(j)
+    return len(order) == m
+
+
+def _boundary_groups(
+    facets: list[Face], n: int, partner: list[int]
+) -> dict[tuple[int, ...], list[Face]]:
+    """The facets grouped by P(F), the positions of F whose ridge is a boundary ridge.
+
+    Facets are grouped by their row of boundary flags, and each distinct
+    row becomes P once; slot r of a row drops position n - 1 - r.
+    """
+    flags = [p < 0 for p in partner]
+    rows: dict[tuple[bool, ...], list[Face]] = {}
+    for facet, row in zip(facets, zip(*[iter(flags)] * n)):
+        rows.setdefault(row, []).append(facet)
+    return {
+        tuple(p for p, flag in enumerate(reversed(row)) if flag): group
+        for row, group in rows.items()
+    }
+
+
+def _screen(
+    n: int, f: FVector, f_bd: FVector, incidence_ok: bool, has_boundary: bool, connected: bool
+) -> BallCheckReport:
+    """The ball screen from the counts and the three structural checks."""
+    return BallCheckReport(
+        n=n,
+        ridge_incidence_ok=incidence_ok,
+        has_boundary=has_boundary,
+        dual_graph_connected=connected,
+        euler_char_ball=f.euler_characteristic(),
+        euler_char_boundary=f_bd.euler_characteristic(),
+    )
+
+
 def _lower_face_counts(
-    on_ridge: dict[Face, list[list[Face]]], n: int
+    groups: dict[tuple[int, ...], list[Face]], n: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """f_0 .. f_{n-3} of the complex and of its boundary, from one expansion.
 
-    ``on_ridge`` maps each facet to the holder lists of its ridges, the
-    i-th of which drops position n - 1 - i.  For a facet F let O(F) be the
-    vertices o with F - {o} a boundary ridge, and P(F) their positions in
-    F, the positions whose holder list has length 1.  A subset of F lies
-    on the boundary iff it misses some o in O(F).  So each s-subset of
-    each facet goes to exactly one of two sets: ``bd`` if it misses some
-    o in O(F), ``cand`` if it contains O(F).  Every boundary face reaches
-    ``bd`` from the facet that holds its boundary ridge, and every face
-    reaches one of the two, so f_{s-1}(boundary) = |bd| and f_{s-1} =
-    |bd| + |cand| - |cand & bd|, which is |bd| + |cand - bd|.
+    ``groups`` maps P to the facets F with P(F) = P.  For a facet F let
+    O(F) be the vertices o with F - {o} a boundary ridge, and P(F) their
+    positions in F.  A subset of F lies on the boundary iff it misses
+    some o in O(F).  So each s-subset of each facet goes to exactly one
+    of two sets: ``bd`` if it misses some o in O(F), ``cand`` if it
+    contains O(F).  Every boundary face reaches ``bd`` from the facet
+    that holds its boundary ridge, and every face reaches one of the
+    two, so f_{s-1}(boundary) = |bd| and f_{s-1} = |bd| + |cand| -
+    |cand & bd|, which is |bd| + |cand - bd|.
 
-    Facets are grouped by P(F) and each group is split in bulk: all to
-    ``cand`` when P is empty, all to ``bd`` when s < |P|, and otherwise
-    by a mask over the s-subsets of range(n), which lists the subsets of
-    every facet in the same positional order.  A facet with one boundary
-    ridge sends that ridge's subsets to ``bd``.
+    Each group is split in bulk: all to ``cand`` when P is empty, all to
+    ``bd`` when s < |P|, and otherwise by a mask over the s-subsets of
+    range(n), which lists the subsets of every facet in the same
+    positional order.  A facet with one boundary ridge sends that ridge's
+    subsets to ``bd``.
     """
-    groups: dict[tuple[int, ...], list[Face]] = {}
-    lone: list[Face] = []
-    for facet, holders in on_ridge.items():
-        # reversed, the j-th holder list is that of the ridge dropping position j
-        P = tuple(p for p, holder in enumerate(reversed(holders)) if len(holder) == 1)
-        groups.setdefault(P, []).append(facet)
-        if len(P) == 1:
-            lone.append(facet[:P[0]] + facet[P[0] + 1:])
+    lone = [
+        facet[:P[0]] + facet[P[0] + 1:]
+        for P, group in groups.items() if len(P) == 1
+        for facet in group
+    ]
 
     counts, counts_bd = [], []
     for size in range(1, n - 1):

@@ -10,11 +10,16 @@ These format checks are the only validation a file gets: a nonempty
 array of length-n, strictly increasing facets of positive ``int`` ids is
 already nonempty, pure, sorted and free of repeated vertices, so the
 facets become a :class:`Complex` as they are, without ``from_facets``.
+The facets are checked in a few bulk passes over all of them at once;
+only when one of those fails are they walked one by one, so that the
+error names the first offender in file order.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import os
 
 from .complexes import Complex
@@ -50,18 +55,36 @@ def complex_from_obj(obj: object) -> tuple[Complex, str | None]:
     facets = obj["facets"]
     if not isinstance(facets, list) or not facets:
         raise FileFormatError('"facets" must be a nonempty array')
-    for facet in facets:
-        if not isinstance(facet, list) or len(facet) != n:
-            raise FileFormatError(f"every facet must be an array of length {n}: {facet!r}")
-        for v in facet:
-            if type(v) is not int or v < 1:
-                raise FileFormatError(f"vertex ids must be positive integers, got {v!r}")
-        if any(a >= b for a, b in zip(facet, facet[1:])):
-            raise FileFormatError(f"facet {facet!r} is not strictly increasing")
+    if not _facets_are_valid(facets, n):
+        # only a failed bulk check walks the facets one by one, so that the
+        # first offender in file order is named
+        for facet in facets:
+            if not isinstance(facet, list) or len(facet) != n:
+                raise FileFormatError(f"every facet must be an array of length {n}: {facet!r}")
+            for v in facet:
+                if type(v) is not int or v < 1:
+                    raise FileFormatError(f"vertex ids must be positive integers, got {v!r}")
+            if any(a >= b for a, b in zip(facet, facet[1:])):
+                raise FileFormatError(f"facet {facet!r} is not strictly increasing")
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise FileFormatError(f'"name" must be a string, got {name!r}')
     return Complex(frozenset(map(tuple, facets))), name
+
+
+def _facets_are_valid(facets: list, n: int) -> bool:
+    """The facet checks in a few bulk passes: lists of length n of strictly
+    increasing ``int`` ids >= 1 (a ``bool`` is not an ``int`` here)."""
+    if set(map(type, facets)) != {list} or set(map(len, facets)) != {n}:
+        return False
+    flat = list(itertools.chain.from_iterable(facets))
+    if set(map(type, flat)) != {int} or min(flat) < 1:
+        return False
+    # the pairs inside each facet: every position but a facet's last one
+    inside = [True] * (n - 1) + [False]
+    lower = itertools.compress(flat, itertools.cycle(inside))
+    upper = itertools.compress(itertools.islice(flat, 1, None), itertools.cycle(inside))
+    return all(map(operator.lt, lower, upper))
 
 
 def complex_to_obj(C: Complex, name: str | None = None) -> dict:

@@ -160,6 +160,63 @@ def test_arbitrary_facet_sets(facets):
     assert_census_matches_reference(from_facets(facets))
 
 
+def in_census_order(candidates, holds):
+    """The first candidate facet list whose facets, in the order the census
+    reads them (the frozenset's), satisfy ``holds``."""
+    for facets in candidates:
+        if holds(list(from_facets(facets).facets)):
+            return facets
+    raise AssertionError("no candidate is in the wanted order")
+
+
+def crowded_ridge_filled_last(order):
+    # (1, 2, 3) is the first ridge seen and gets its third holder after
+    # (4, 5, 6) gets its own, so the first ridge to reach three holders
+    # is not the first overflowing ridge in the order the ridges were seen
+    holders = Counter()
+    filled = []
+    for facet in order:
+        for ridge in combinations(facet, 3):
+            holders[ridge] += 1
+            if holders[ridge] == 3:
+                filled.append(ridge)
+    return next(iter(holders)) == (1, 2, 3) and filled == [(4, 5, 6), (1, 2, 3)]
+
+
+CROWDED_RIDGES = in_census_order(
+    (
+        [[1, 2, 3, x] for x in xs] + [[4, 5, 6, y] for y in ys]
+        for xs in combinations(range(7, 16), 4)
+        for ys in combinations(sorted(set(range(7, 16)) - set(xs)), 3)
+    ),
+    crowded_ridge_filled_last,
+)
+
+
+def boundary_slot_met_before_the_last_facet(order):
+    # the search starts at a facet that holds a boundary ridge, whose slot
+    # reads -1 // n == -1, and the last facet is not its neighbour but is
+    # the only way to the far end of the strip: a sentinel that read the
+    # last facet's entry would cut the far end off
+    ridges = Counter(r for facet in order for r in combinations(facet, 2))
+    rest = order[:-1]
+    first, last = order[0], order[-1]
+    return (
+        any(ridges[r] == 1 for r in combinations(first, 2))
+        and len(set(first) & set(last)) < 2
+        and not reference_dual_connected(rest, 3, ridges - Counter(combinations(last, 2)))
+    )
+
+
+# a strip of five triangles (v1, v2, v3), (v2, v3, v4), ..., relabelled
+# until the census reads the facets in the wanted order
+BOUNDARY_SLOT_FIRST = in_census_order(
+    ([[labels[i], labels[i + 1], labels[i + 2]] for i in range(5)]
+     for labels in itertools.permutations(range(1, 8))),
+    boundary_slot_met_before_the_last_facet,
+)
+
+
 # The census splits each facet F by P(F), the positions in F of the
 # vertices o with F - {o} a boundary ridge.  Each case below holds facets
 # of the kind its id names; n = 5 has subset sizes s = 1, 2, 3.
@@ -182,9 +239,14 @@ def test_arbitrary_facet_sets(facets):
         [[1, 2, 3, 4], [5, 6, 7, 8], [5, 6, 7, 9]],
         [[1, 2], [2, 3], [3, 4]],
         [[1, 2], [1, 3], [1, 4]],
+        # (1, 2, 3) lies in four facets and (4, 5, 6) in three; the census
+        # names (1, 2, 3), with its full count, though (4, 5, 6) fills first
+        CROWDED_RIDGES,
+        BOUNDARY_SLOT_FIRST,
     ],
     ids=["no-ridge-and-s<P", "one-ridge", "s<P-s=P-s>P", "s<P-s=P", "one-ridge-apex-inside",
-         "ridge-in-three-facets", "disconnected-n4", "path-n2", "star-n2"],
+         "ridge-in-three-facets", "disconnected-n4", "path-n2", "star-n2",
+         "crowded-ridge-seen-first-fills-last", "boundary-slot-before-the-last-facet"],
 )
 def test_each_kind_of_facet(facets):
     assert_census_matches_reference(from_facets(facets))

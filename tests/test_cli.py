@@ -435,22 +435,29 @@ class TestVerifyCommand:
         assert code == 2
         assert "nested too deeply" in err
 
-    def test_needs_exactly_one_input(self, tmp_path, capsys):
-        code, _, _ = run(["verify"], capsys)
+    @staticmethod
+    def assert_usage_error(code, out, err, message):
+        # argparse's shape, as for generate: the usage line, then the error
         assert code == 2
+        assert out == ""
+        assert err.startswith("usage: genoball verify ")
+        assert f"\ngenoball verify: error: {message}\n" in err
+        assert "Traceback" not in err
+
+    def test_needs_exactly_one_input(self, tmp_path, capsys):
+        self.assert_usage_error(*run(["verify"], capsys),
+                                "one of the arguments input --corpus is required")
         path = tmp_path / "tri.json"
         save_complex(simplex_ball(3), path)
-        code, _, _ = run(["verify", str(path), "--corpus"], capsys)
-        assert code == 2
+        self.assert_usage_error(*run(["verify", str(path), "--corpus"], capsys),
+                                "argument --corpus: not allowed with argument input")
 
     @pytest.mark.parametrize("option", [["--grid", "/nonexistent/grid.json"], ["--max-n", "3"]])
     def test_corpus_options_need_corpus(self, tmp_path, capsys, option):
         path = tmp_path / "tri.json"
         save_complex(simplex_ball(3), path)
-        code, out, err = run(["verify", str(path), *option], capsys)
-        assert code == 2
-        assert out == ""
-        assert "only with --corpus" in err
+        self.assert_usage_error(*run(["verify", str(path), *option], capsys),
+                                "--grid and --max-n apply only with --corpus")
 
     def test_missing_file_is_input_error(self, capsys):
         code, _, _ = run(["verify", "/nonexistent/ball.json"], capsys)

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genoball.complexes import from_facets
@@ -114,6 +114,70 @@ def test_valid_objects_build_the_same_complex_as_from_facets(obj):
         type(facet) is tuple and all(type(v) is int for v in facet)
         for facet in ball.facets
     )
+
+
+def _reference_complex_from_facets(facets, n):
+    """The per-facet checks that complex_from_obj made before its bulk passes."""
+    for facet in facets:
+        if not isinstance(facet, list) or len(facet) != n:
+            raise FileFormatError(f"every facet must be an array of length {n}: {facet!r}")
+        for v in facet:
+            if type(v) is not int or v < 1:
+                raise FileFormatError(f"vertex ids must be positive integers, got {v!r}")
+        if any(a >= b for a, b in zip(facet, facet[1:])):
+            raise FileFormatError(f"facet {facet!r} is not strictly increasing")
+    return from_facets(facets)
+
+
+_VERTICES = st.integers(1, 9) | st.sampled_from([0, -1, -7, True, False, 2.0, 1.5, "3", None])
+
+
+def _with_a_lookalike(facet, i):
+    """``facet`` with its i-th id replaced by an equal value that is no ``int``:
+    True for 1, a float otherwise, so the facet stays increasing."""
+    facet = list(facet)
+    facet[i] = True if facet[i] == 1 else float(facet[i])
+    return facet
+
+
+@st.composite
+def _mixed_facet_objects(draw):
+    """Facet arrays that are mostly valid, with every kind of fault mixed in."""
+    n = draw(st.integers(1, 4))
+    valid = st.lists(st.integers(1, 9), min_size=n, max_size=n, unique=True).map(sorted)
+    faulty = st.one_of(
+        st.lists(st.integers(1, 9), max_size=n + 2),  # any length, any order, repeats
+        st.lists(_VERTICES, min_size=n, max_size=n),
+        valid.map(lambda f: f[::-1]),
+        valid.map(tuple),
+        st.builds(_with_a_lookalike, valid, st.integers(0, n - 1)),
+        st.sampled_from([None, 3, "abc", {"a": 1}]),
+    )
+    facets = draw(st.lists(valid | faulty, min_size=1, max_size=8))
+    return {"n": n, "facets": draw(st.permutations(facets))}
+
+
+@settings(max_examples=200)
+@given(_mixed_facet_objects())
+def test_bulk_checks_agree_with_the_per_facet_loop(obj):
+    try:
+        expected = _reference_complex_from_facets(obj["facets"], obj["n"])
+    except FileFormatError as exc:
+        with pytest.raises(FileFormatError) as info:
+            complex_from_obj(obj)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+    else:
+        assert complex_from_obj(obj) == (expected, None)
+
+
+def test_the_first_faulty_facet_in_file_order_is_named():
+    # facet 2 has a bad vertex and facet 4 a wrong length; the bulk checks
+    # fail on both, and the message names facet 2's vertex
+    obj = {"n": 3, "facets": [[1, 2, 3], [1, 2.5, 4], [2, 3, 4], [1, 2]]}
+    with pytest.raises(FileFormatError) as info:
+        complex_from_obj(obj)
+    assert str(info.value) == "vertex ids must be positive integers, got 2.5"
 
 
 @st.composite
