@@ -165,9 +165,9 @@ class Census(
     The top entries of ``f`` and ``f_boundary`` are counted off the ridge
     map, the lower ones of both from one expansion of the facets; no
     boundary complex is built.
-    ``ridge_overflow`` is the first ridge found in three or more facets,
-    with its facet count, or None.  The f-vectors describe a ball only
-    when ``report.ok``.
+    ``ridge_overflow`` is, of the ridges in three or more facets, the one
+    seen first in the ridge pass, with its full facet count, or None.  The
+    f-vectors describe a ball only when ``report.ok``.
     """
 
     __slots__ = ()
