@@ -250,7 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="facet file")
     p.set_defaults(func=_cmd_fvector)
 
-    p = sub.add_parser("verify", help="verify the f-vector identities exactly")
+    p = sub.add_parser(
+        "verify",
+        help="verify the f-vector identities exactly",
+        # argparse brackets input and --corpus apart, as if neither were needed
+        usage="%(prog)s [-h] [--json] (input | --corpus [--max-n MAX_N] [--grid GRID])",
+    )
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("input", nargs="?", help="facet file")
     source.add_argument("--corpus", action="store_true", help="run the built-in corpus")

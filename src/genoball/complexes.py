@@ -1,20 +1,21 @@
 """Pure simplicial complexes, f-vectors, boundaries, interior face counts.
 
-A complex is stored by its facet set alone.  Its census is four named
-steps.  The ridge pass generates each facet's ridges once and records
-which facets share each ridge in one flat integer array, ``partner``:
-slot i*n + r is the r-th ridge of facet i, and the facet across
-position p of facet i is partner[i*n + n-1-p] // n, or none when that
-slot holds -1.  The adjacency search, the boundary ridges and the
-boundary positions of each facet all read that array, and the top counts
-(facets, ridges, boundary ridges) come off the pass.  Every lower face
-is recovered by explicit subset expansion with deduplication.  Each
-facet is expanded once per subset size, and each subset is sorted into
-the boundary's faces or the rest by which boundary ridges of its facet
-it lies in, so one expansion counts the complex and its boundary.  That
-is deliberate: the corpus lives at desk scale (at most ~10^6 faces) and
+A complex is stored by its facet set alone.  Its census generates each
+facet's ridges once and records which facets share each ridge in one
+flat integer array, ``partner``: slot i*n + r is the r-th ridge of facet
+i; the facet across position p of facet i is partner[i*n + n-1-p] // n,
+or none when that slot holds -1.  The adjacency search, the boundary
+ridges and the boundary positions of each facet all read that array, and
+the top counts (facets, ridges, boundary ridges) come off the pass, as
+does the overflow check, a count identity.  Every lower face is
+recovered by explicit subset expansion with deduplication.  Each facet
+is expanded once per subset size, and each subset is sorted into the
+boundary's faces or the rest by which boundary ridges of its facet it
+lies in, so one expansion counts the complex and its boundary.  That is
+deliberate: the corpus lives at desk scale (at most ~10^6 faces) and
 exact, obviously correct counting beats clever closure algebra here.
-The last step screens the counts.  The boundary complex is built only
+The ball screen is read off those counts; one function lists its
+conditions and the sphere screen's.  The boundary complex is built only
 when :meth:`Complex.boundary` is called.
 
 Faces are strictly increasing tuples of nonnegative integer vertex ids.
@@ -121,9 +122,9 @@ class BallCheckReport(
     (n-1)-ball has euler_char_ball = 1 and euler_char_boundary =
     1 + (-1)^n.  Purity is not a field: building a :class:`Complex` from
     facets of mixed sizes already raises NonPureError.  ``ok`` means
-    :meth:`failures` is empty, so the conditions are stated once.  Passing
-    the screen does NOT prove ball-ness; failing it disproves it.  The
-    three conditions are bools, ``n`` and the characteristics ints.
+    :meth:`failures` is empty.  Passing the screen does NOT prove
+    ball-ness; failing it disproves it.  The three conditions are bools,
+    ``n`` and the characteristics ints.
     """
 
     __slots__ = ()
@@ -134,22 +135,7 @@ class BallCheckReport(
 
     def failures(self) -> list[str]:
         """Human-readable list of the conditions that failed."""
-        out = []
-        if not self.ridge_incidence_ok:
-            out.append("a ridge lies in more than two facets")
-        if not self.has_boundary:
-            out.append("no boundary ridge (sphere candidate, not a ball)")
-        if not self.dual_graph_connected:
-            out.append("facet-adjacency graph is disconnected")
-        if self.euler_char_ball != 1:
-            out.append(f"Euler characteristic {self.euler_char_ball} != 1")
-        expected = 1 + (-1) ** self.n
-        if self.euler_char_boundary != expected:
-            out.append(
-                f"boundary Euler characteristic {self.euler_char_boundary} "
-                f"!= {expected}"
-            )
-        return out
+        return _screen_failures(self, closed=False)
 
 
 class Census(
@@ -223,16 +209,15 @@ class Complex:
     def census(self) -> "Census":
         """Everything ``verify`` and ``fvector`` need, computed once and cached.
 
-        The census runs four steps: a ridge pass that records, in one
+        The census runs three steps: a ridge pass that records, in one
         integer array, which facets share each ridge; an adjacency search
-        over that array; the face counts; and the ball screen.  The ridge
-        check, the boundary ridges, the adjacency search, the top two
-        counts of f and the top count of f(boundary) all read the ridge
-        pass, and no ridge is generated twice.  Only dimensions 0..n-3 are
-        expanded, each facet once per dimension, and that one expansion
-        counts both this complex and its boundary; :meth:`faces` and
-        :meth:`f_vector` are not called and no :class:`Complex` is built.
-        Never raises.
+        over that array; and the face counts, from which the ball screen
+        is built.  The ridge check, a count identity, the boundary ridges,
+        the adjacency search, the top two counts of f and the top count of
+        f(boundary) all read the ridge pass, and no ridge is generated
+        twice, not even for a ridge in three facets.  Only dimensions
+        0..n-3 are expanded, and :meth:`faces` and :meth:`f_vector` are not
+        called and no :class:`Complex` is built.  Never raises.
         """
         census = self._census
         if census is None:
@@ -243,10 +228,15 @@ class Complex:
     def _take_census(self) -> "Census":
         n = self.n
         facets = list(self.facets)
-        first, partner, crowded = _ridge_pass(facets, n)
-        overflow = _first_overflow(facets, n, partner, crowded)
+        first, partner = _ridge_pass(facets, n)
         boundary_ridges = frozenset(
             itertools.compress(first, [partner[k] < 0 for k in first.values()])
+        )
+        # the m*n slots hold each ridge once per facet: at least b + 2(R - b)
+        # for R ridges, b of them boundary, with equality iff none has three
+        overflow = (
+            None if len(facets) * n == 2 * len(first) - len(boundary_ridges)
+            else _first_overflow(first, partner)
         )
         connected = _connected(partner, n, len(facets))
         lower, lower_bd = _lower_face_counts(_boundary_groups(facets, n, partner), n)
@@ -260,7 +250,14 @@ class Complex:
             f=f,
             f_boundary=f_bd,
             f_interior=FVector(n, tuple(f[d] - f_bd[d] for d in range(n))),
-            report=_screen(n, f, f_bd, overflow is None, bool(boundary_ridges), connected),
+            report=BallCheckReport(
+                n=n,
+                ridge_incidence_ok=overflow is None,
+                has_boundary=bool(boundary_ridges),
+                dual_graph_connected=connected,
+                euler_char_ball=f.euler_characteristic(),
+                euler_char_boundary=f_bd.euler_characteristic(),
+            ),
             boundary_ridges=boundary_ridges,
             ridge_overflow=overflow,
         )
@@ -305,9 +302,7 @@ class Complex:
         return from_facets([[mapping[v] for v in f] for f in self.facets])
 
 
-def _ridge_pass(
-    facets: list[Face], n: int
-) -> tuple[dict[Face, int], list[int], list[int]]:
+def _ridge_pass(facets: list[Face], n: int) -> tuple[dict[Face, int], list[int]]:
     """Which facets share each ridge, in one flat array; one dict operation per ridge.
 
     Slot k = i*n + r stands for the r-th ridge of facets[i] in
@@ -315,41 +310,37 @@ def _ridge_pass(
     ``first`` maps each ridge to its first slot.  ``partner[k]`` is -1
     for a ridge held by one facet; otherwise the holders of a ridge form
     a ring of slots, each pointing at the next, so two holders point at
-    each other.  ``crowded`` lists the first slot of each ridge whenever
-    its ring grows past two holders.
+    each other.
     """
     first: dict[Face, int] = {}
     setdefault = first.setdefault
     partner = [-1] * (len(facets) * n)
-    crowded = []
     k = 0
     for facet in facets:
         for ridge in itertools.combinations(facet, n - 1):
             j = setdefault(ridge, k)
             if j != k:
                 p = partner[j]
-                if p < 0:
-                    partner[k] = j
-                else:
-                    partner[k] = p
-                    crowded.append(j)
+                partner[k] = j if p < 0 else p
                 partner[j] = k
             k += 1
-    return first, partner, crowded
+    return first, partner
 
 
-def _first_overflow(
-    facets: list[Face], n: int, partner: list[int], crowded: list[int]
-) -> tuple[Face, int] | None:
-    """The ridge in three or more facets first seen in the ridge pass, with its count."""
-    if not crowded:
-        return None
-    j = min(crowded)
-    count, k = 1, partner[j]
-    while k != j:
-        count, k = count + 1, partner[k]
-    facet, p = facets[j // n], n - 1 - j % n
-    return facet[:p] + facet[p + 1:], count
+def _first_overflow(first: dict[Face, int], partner: list[int]) -> tuple[Face, int]:
+    """The ridge in three or more facets first seen in the ridge pass, with its count.
+
+    Some ridge must lie in three facets.  ``first`` lists the ridges in
+    the order they were seen.  A ring runs from its first slot to the
+    newest and back down to the second, so it is walked until it drops to
+    its first slot, its least.
+    """
+    for ridge, j in first.items():
+        count, k = 1, partner[j]
+        while k > j:
+            count, k = count + 1, partner[k]
+        if count > 2:
+            return ridge, count
 
 
 def _connected(partner: list[int], n: int, m: int) -> bool:
@@ -390,18 +381,28 @@ def _boundary_groups(
     }
 
 
-def _screen(
-    n: int, f: FVector, f_bd: FVector, incidence_ok: bool, has_boundary: bool, connected: bool
-) -> BallCheckReport:
-    """The ball screen from the counts and the three structural checks."""
-    return BallCheckReport(
-        n=n,
-        ridge_incidence_ok=incidence_ok,
-        has_boundary=has_boundary,
-        dual_graph_connected=connected,
-        euler_char_ball=f.euler_characteristic(),
-        euler_char_boundary=f_bd.euler_characteristic(),
-    )
+def _screen_failures(report: BallCheckReport, closed: bool) -> list[str]:
+    """The failed conditions of the ball screen, or with ``closed`` of the sphere screen.
+
+    A closed (n-1)-sphere has no boundary ridge, no boundary to check and
+    Euler characteristic 1 + (-1)^(n-1).
+    """
+    out = []
+    if not report.ridge_incidence_ok:
+        out.append("a ridge lies in more than two facets")
+    if closed and report.has_boundary:
+        out.append("has boundary ridges")
+    if not closed and not report.has_boundary:
+        out.append("no boundary ridge (sphere candidate, not a ball)")
+    if not report.dual_graph_connected:
+        out.append("facet-adjacency graph is disconnected")
+    expected = 1 + (-1) ** (report.n - 1) if closed else 1
+    if report.euler_char_ball != expected:
+        out.append(f"Euler characteristic {report.euler_char_ball} != {expected}")
+    expected = 1 + (-1) ** report.n
+    if not closed and report.euler_char_boundary != expected:
+        out.append(f"boundary Euler characteristic {report.euler_char_boundary} != {expected}")
+    return out
 
 
 def _lower_face_counts(

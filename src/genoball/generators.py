@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import itertools
 
-from .complexes import Complex, ComplexError
+from .complexes import Complex, ComplexError, _screen_failures
 
 __all__ = [
     "SPHERE_FAMILIES",
@@ -122,19 +122,7 @@ def boundary_sphere(family: str, n: int) -> Complex:
 
 def _screen_sphere(S: Complex) -> None:
     """Necessary conditions for S to be a sphere; raises on failure."""
-    report = S.census().report
-    expected = 1 + (-1) ** (S.n - 1)
-    problems = []
-    if not report.ridge_incidence_ok:
-        problems.append("a ridge lies in more than two facets")
-    if report.has_boundary:
-        problems.append("has boundary ridges")
-    if not report.dual_graph_connected:
-        problems.append("facet-adjacency graph is disconnected")
-    if report.euler_char_ball != expected:
-        problems.append(
-            f"Euler characteristic {report.euler_char_ball} != {expected}"
-        )
+    problems = _screen_failures(S.census().report, closed=True)
     if problems:
         raise SphereScreenError("; ".join(problems))
 

@@ -260,13 +260,15 @@ def test_each_kind_of_facet(facets):
         [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]],
         [[1]],
         [[1], [2]],
+        # the empty face is the one ridge, and it lies in three facets
+        [[1], [2], [3]],
         [[1, 2, 3], [1, 2, 4], [1, 2, 5], [6, 7, 8]],
         # vertex 1 lies on the boundary only through (1, 2), the lone
         # boundary ridge of [1, 2, 3]
         [[1, 2, 3], [1, 3, 4], [1, 3, 5], [1, 4, 5], [2, 3, 6]],
     ],
     ids=["ridge-overflow", "disconnected", "closed-sphere", "point", "two-points",
-         "overflow-and-disconnected", "vertex-on-a-lone-ridge"],
+         "three-points", "overflow-and-disconnected", "vertex-on-a-lone-ridge"],
 )
 def test_screen_failures_and_points(facets):
     assert_census_matches_reference(from_facets(facets))
@@ -312,8 +314,12 @@ SMALL_BALLS = pytest.mark.parametrize(
         stacked_ball(6, 12, 1),
         barycentric_subdivision(stacked_ball(4, 3, 2)),
         from_facets([[1, 2, 3], [4, 5, 6]]),
+        # a ridge in three facets, so the rings are walked to name it
+        from_facets([[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 3, 6], [1, 2, 4, 7]]),
+        from_facets([[1], [2], [3]]),
     ],
-    ids=["point", "segment", "simplex-7", "stacked-6-12", "sd-stacked-4-3", "disconnected"],
+    ids=["point", "segment", "simplex-7", "stacked-6-12", "sd-stacked-4-3", "disconnected",
+         "ridge-in-three-facets", "three-points"],
 )
 
 

@@ -435,12 +435,20 @@ class TestVerifyCommand:
         assert code == 2
         assert "nested too deeply" in err
 
-    @staticmethod
-    def assert_usage_error(code, out, err, message):
+    USAGE = "usage: genoball verify [-h] [--json] (input | --corpus [--max-n MAX_N] [--grid GRID])"
+
+    def test_usage_needs_input_or_corpus(self, capsys):
+        # exactly one of FILE and --corpus, and the corpus options go with --corpus
+        code, out, _ = run(["verify", "--help"], capsys)
+        assert code == 0
+        assert out.startswith(self.USAGE + "\n")
+
+    @classmethod
+    def assert_usage_error(cls, code, out, err, message):
         # argparse's shape, as for generate: the usage line, then the error
         assert code == 2
         assert out == ""
-        assert err.startswith("usage: genoball verify ")
+        assert err.startswith(cls.USAGE + "\n")
         assert f"\ngenoball verify: error: {message}\n" in err
         assert "Traceback" not in err
 

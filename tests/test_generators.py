@@ -207,6 +207,51 @@ class TestSphereMinusFacet:
             sphere_minus_facet(stacked_ball(3, 4, 1))
 
 
+OCTAHEDRON = [[a, b, c] for a in (1, 2) for b in (3, 4) for c in (5, 6)]
+TORUS_7 = [
+    facet
+    for i in range(7)
+    for facet in ([i, (i + 1) % 7, (i + 3) % 7], [i, (i + 2) % 7, (i + 3) % 7])
+]
+
+
+@pytest.mark.parametrize("build", [cone_over_boundary, sphere_minus_facet])
+@pytest.mark.parametrize(
+    "facets, message",
+    [
+        ([[1, 2, 3]], "has boundary ridges; Euler characteristic 1 != 2"),
+        (
+            [[1, 2], [1, 3], [1, 4]],
+            "a ridge lies in more than two facets; has boundary ridges;"
+            " Euler characteristic 1 != 0",
+        ),
+        (
+            [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]],
+            "facet-adjacency graph is disconnected",
+        ),
+        ([[1], [2], [3]], "a ridge lies in more than two facets; Euler characteristic 3 != 2"),
+        (
+            OCTAHEDRON + [[1, 3, 7]],
+            "a ridge lies in more than two facets; has boundary ridges",
+        ),
+        (TORUS_7, "Euler characteristic 0 != 2"),
+        ([[1], [2]], None),
+        ([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]], None),
+    ],
+    ids=["triangle", "star-of-three-edges", "two-triangles", "three-points",
+         "octahedron-and-fin", "torus-7", "two-points", "tetrahedron-boundary"],
+)
+def test_sphere_screen_messages(build, facets, message):
+    # every failed condition of the sphere screen, in order, in one message
+    S = from_facets(facets)
+    if message is None:
+        build(S)
+        return
+    with pytest.raises(SphereScreenError) as info:
+        build(S)
+    assert str(info.value) == message
+
+
 class TestBarycentricSubdivision:
     def test_single_edge(self):
         sd = barycentric_subdivision(simplex_ball(2))
