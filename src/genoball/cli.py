@@ -277,8 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        # an integer too large to index or allocate is an input error too
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except SelfCheckError as exc:
         print(f"error: self-check failed: {exc}", file=sys.stderr)

@@ -5,18 +5,14 @@ facet's ridges once and records which facets share each ridge in one
 flat integer array, ``partner``: slot i*n + r is the r-th ridge of facet
 i; the facet across position p of facet i is partner[i*n + n-1-p] // n,
 or none when that slot holds -1.  The adjacency search, the boundary
-ridges and the boundary positions of each facet all read that array, and
-the top counts (facets, ridges, boundary ridges) come off the pass, as
-does the overflow check, a count identity.  Every lower face is
-recovered by explicit subset expansion with deduplication.  Each facet
-is expanded once per subset size, and each subset is sorted into the
-boundary's faces or the rest by which boundary ridges of its facet it
-lies in, so one expansion counts the complex and its boundary.  That is
-deliberate: the corpus lives at desk scale (at most ~10^6 faces) and
-exact, obviously correct counting beats clever closure algebra here.
-The ball screen is read off those counts; one function lists its
-conditions and the sphere screen's.  The boundary complex is built only
-when :meth:`Complex.boundary` is called.
+ridges, the overflow check (a count identity) and the shelling all read
+that array.  The faces of the complex, and then of its boundary, are
+counted by one rule: below six vertices per facet each dimension below
+the ridges is expanded, and from six up a greedy shelling gives the
+h-vector, falling back to the expansion when it gets stuck; so the
+counts are exact either way.  The ball screen is read off those counts;
+one function lists its conditions and the sphere screen's.  The
+boundary complex is built only when :meth:`Complex.boundary` is called.
 
 Faces are strictly increasing tuples of nonnegative integer vertex ids.
 The ambient parameter n is the number of vertices per facet, so a complex
@@ -27,9 +23,12 @@ materialized as a complex.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import namedtuple
+import operator
+from collections import defaultdict, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from math import comb
 
 __all__ = [
     "Face",
@@ -47,6 +46,10 @@ __all__ = [
 ]
 
 Face = tuple[int, ...]
+
+# Faces are counted by a shelling from this many vertices per facet up, and
+# by expansion below, where the expansion is the faster of the two
+_SHELL_MIN_N = 6
 
 
 class ComplexError(ValueError):
@@ -148,9 +151,8 @@ class Census(
     ball screen.  ``boundary_ridges`` is the frozenset of ridges in
     exactly one facet; for n = 1 the only ridge is the empty face, and
     ``f_boundary`` is empty, since the boundary of a point has no faces.
-    The top entries of ``f`` and ``f_boundary`` are counted off the ridge
-    map, the lower ones of both from one expansion of the facets; no
-    boundary complex is built.
+    Each f-vector is counted from a ridge pass over its facets, by
+    expansion or by a shelling; no boundary complex is built.
     ``ridge_overflow`` is, of the ridges in three or more facets, the one
     seen first in the ridge pass, with its full facet count, or None.  The
     f-vectors describe a ball only when ``report.ok``.
@@ -212,12 +214,15 @@ class Complex:
         The census runs three steps: a ridge pass that records, in one
         integer array, which facets share each ridge; an adjacency search
         over that array; and the face counts, from which the ball screen
-        is built.  The ridge check, a count identity, the boundary ridges,
-        the adjacency search, the top two counts of f and the top count of
-        f(boundary) all read the ridge pass, and no ridge is generated
-        twice, not even for a ridge in three facets.  Only dimensions
-        0..n-3 are expanded, and :meth:`faces` and :meth:`f_vector` are not
-        called and no :class:`Complex` is built.  Never raises.
+        is built.  The ridge check, a count identity, the boundary ridges
+        and the adjacency search read the ridge pass, and no facet's
+        ridges are generated twice.  The faces of the complex, and then of
+        its boundary ridges after a ridge pass of their own, are counted
+        by expansion below n = 6 and by a shelling from 6 up, with the
+        expansion as the fallback when the shelling gets stuck; only
+        dimensions 0..n-3 are ever expanded.  :meth:`faces` and
+        :meth:`f_vector` are not called and no :class:`Complex` is built.
+        Never raises.
         """
         census = self._census
         if census is None:
@@ -232,20 +237,15 @@ class Complex:
         boundary_ridges = frozenset(
             itertools.compress(first, [partner[k] < 0 for k in first.values()])
         )
-        # the m*n slots hold each ridge once per facet: at least b + 2(R - b)
-        # for R ridges, b of them boundary, with equality iff none has three
-        overflow = (
-            None if len(facets) * n == 2 * len(first) - len(boundary_ridges)
-            else _first_overflow(first, partner)
-        )
+        overflow = None if _no_ridge_in_three(first, partner) else _first_overflow(first, partner)
         connected = _connected(partner, n, len(facets))
-        lower, lower_bd = _lower_face_counts(_boundary_groups(facets, n, partner), n)
-        # f_{n-1} and f_{n-2} are read off the ridge pass.  For n = 1 its only
-        # ridge is the empty face, which is not counted, and the boundary of a
-        # point is the empty complex, which has no faces to count
-        ridges = (len(first),) if n >= 2 else ()
-        f = FVector(n, lower + ridges + (len(facets),))
-        f_bd = FVector(n - 1, lower_bd + (len(boundary_ridges),) if n >= 2 else ())
+        f = FVector(n, _face_counts(facets, n, first, partner))
+        # the boundary of a point is the empty complex, which has no faces
+        if n >= 2:
+            ridges = list(boundary_ridges)
+            f_bd = FVector(n - 1, _face_counts(ridges, n - 1, *_ridge_pass(ridges, n - 1)))
+        else:
+            f_bd = FVector(0, ())
         return Census(
             f=f,
             f_boundary=f_bd,
@@ -327,6 +327,16 @@ def _ridge_pass(facets: list[Face], n: int) -> tuple[dict[Face, int], list[int]]
     return first, partner
 
 
+def _no_ridge_in_three(first: dict[Face, int], partner: list[int]) -> bool:
+    """Whether every ridge lies in at most two facets, by a count identity.
+
+    The m*n slots hold each ridge once per facet: at least b + 2(R - b)
+    = 2R - b for R ridges, b of them boundary ridges (the -1 slots), with
+    equality iff no ridge lies in three or more facets.
+    """
+    return len(partner) == 2 * len(first) - partner.count(-1)
+
+
 def _first_overflow(first: dict[Face, int], partner: list[int]) -> tuple[Face, int]:
     """The ridge in three or more facets first seen in the ridge pass, with its count.
 
@@ -363,22 +373,64 @@ def _connected(partner: list[int], n: int, m: int) -> bool:
     return len(order) == m
 
 
-def _boundary_groups(
-    facets: list[Face], n: int, partner: list[int]
-) -> dict[tuple[int, ...], list[Face]]:
-    """The facets grouped by P(F), the positions of F whose ridge is a boundary ridge.
+def _face_counts(
+    facets: list[Face], n: int, first: dict[Face, int], partner: list[int]
+) -> tuple[int, ...]:
+    """f_0 .. f_{n-1} of a pure complex, given its ridge pass.
 
-    Facets are grouped by their row of boundary flags, and each distinct
-    row becomes P once; slot r of a row drops position n - 1 - r.
+    From n = _SHELL_MIN_N up, if no ridge lies in three facets and a greedy
+    shelling reaches every facet, facet F adds the faces between R(F) and
+    F, so f_{j-1} = sum_r h_r C(n-r, j-r).  Otherwise the dimensions below
+    the ridges are expanded, and the ridge and facet counts (but not the
+    empty ridge of n = 1) come off the pass.
     """
-    flags = [p < 0 for p in partner]
-    rows: dict[tuple[bool, ...], list[Face]] = {}
-    for facet, row in zip(facets, zip(*[iter(flags)] * n)):
-        rows.setdefault(row, []).append(facet)
-    return {
-        tuple(p for p, flag in enumerate(reversed(row)) if flag): group
-        for row, group in rows.items()
-    }
+    if n >= _SHELL_MIN_N and facets and _no_ridge_in_three(first, partner):
+        h = _shelling(facets, n, partner)
+        if h is not None:
+            return tuple(
+                sum(h[r] * comb(n - r, j - r) for r in range(j + 1)) for j in range(1, n + 1)
+            )
+    lower = tuple(len(set(_subsets(facets, s))) for s in range(1, n - 1))
+    return lower + ((len(first),) if n >= 2 else ()) + (len(facets),)
+
+
+def _shelling(facets: list[Face], n: int, partner: list[int]) -> list[int] | None:
+    """The h-vector of a greedy shelling from facets[0], or None if it gets stuck.
+
+    Every ridge must lie in at most two facets.  R(F) holds the vertices v
+    of F with F - {v} in a shelled facet, and F may come next iff R(F) is
+    nonempty (but for the first facet) and no shelled facet contains it;
+    then h_{|R(F)|} gains one.  F is queued whenever R(F) grows, that is
+    when the facet across one of its ridges is shelled: across slot k lies
+    facet partner[k] // n, whose position n - 1 - partner[k] % n that ridge
+    drops.  Vertex v keeps an int whose bit t marks the t-th shelled facet,
+    so a shelled facet contains R(F) iff the AND over R(F) is nonzero.
+    """
+    m = len(facets)
+    h = [0] * (n + 1)
+    restriction: list[list[int]] = [[] for _ in range(m)]
+    shelled = bytearray(m)
+    holders: defaultdict[int, int] = defaultdict(int)
+    steps = 0
+    queue = [0]
+    for j in queue:  # grows while it is read
+        if shelled[j]:
+            continue
+        R = restriction[j]  # nonempty once a facet is shelled: j was queued across a ridge
+        if steps and functools.reduce(operator.and_, map(holders.__getitem__, R)):
+            continue
+        bit = 1 << steps
+        for v in facets[j]:
+            holders[v] |= bit
+        h[len(R)] += 1
+        shelled[j] = 1
+        steps += 1
+        for p in partner[j * n:j * n + n]:
+            i = p // n
+            if p >= 0 and not shelled[i]:
+                restriction[i].append(facets[i][n - 1 - p % n])
+                queue.append(i)
+    return h if steps == m else None
 
 
 def _screen_failures(report: BallCheckReport, closed: bool) -> list[str]:
@@ -403,61 +455,6 @@ def _screen_failures(report: BallCheckReport, closed: bool) -> list[str]:
     if not closed and report.euler_char_boundary != expected:
         out.append(f"boundary Euler characteristic {report.euler_char_boundary} != {expected}")
     return out
-
-
-def _lower_face_counts(
-    groups: dict[tuple[int, ...], list[Face]], n: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """f_0 .. f_{n-3} of the complex and of its boundary, from one expansion.
-
-    ``groups`` maps P to the facets F with P(F) = P.  For a facet F let
-    O(F) be the vertices o with F - {o} a boundary ridge, and P(F) their
-    positions in F.  A subset of F lies on the boundary iff it misses
-    some o in O(F).  So each s-subset of each facet goes to exactly one
-    of two sets: ``bd`` if it misses some o in O(F), ``cand`` if it
-    contains O(F).  Every boundary face reaches ``bd`` from the facet
-    that holds its boundary ridge, and every face reaches one of the
-    two, so f_{s-1}(boundary) = |bd| and f_{s-1} = |bd| + |cand| -
-    |cand & bd|, which is |bd| + |cand - bd|.
-
-    Each group is split in bulk: all to ``cand`` when P is empty, all to
-    ``bd`` when s < |P|, and otherwise by a mask over the s-subsets of
-    range(n), which lists the subsets of every facet in the same
-    positional order.  A facet with one boundary ridge sends that ridge's
-    subsets to ``bd``.
-    """
-    lone = [
-        facet[:P[0]] + facet[P[0] + 1:]
-        for P, group in groups.items() if len(P) == 1
-        for facet in group
-    ]
-
-    counts, counts_bd = [], []
-    for size in range(1, n - 1):
-        bd = set(_subsets(lone, size))
-        cand: set[Face] = set()
-        bits = None
-        for P, group in groups.items():
-            subsets = _subsets(group, size)
-            if not P:
-                cand.update(subsets)
-            elif size < len(P):
-                bd.update(subsets)
-            else:
-                if bits is None:
-                    positions = itertools.combinations(range(n), size)
-                    bits = [sum(1 << i for i in c) for c in positions]
-                need = sum(1 << p for p in P)
-                contains = [b & need == need for b in bits]
-                if len(P) > 1:
-                    subsets = list(subsets)
-                    misses = [not c for c in contains]
-                    bd.update(itertools.compress(subsets, itertools.cycle(misses)))
-                cand.update(itertools.compress(subsets, itertools.cycle(contains)))
-        counts_bd.append(len(bd))
-        cand -= bd
-        counts.append(len(bd) + len(cand))
-    return tuple(counts), tuple(counts_bd)
 
 
 def _subsets(faces: Iterable[Face], size: int) -> Iterator[Face]:

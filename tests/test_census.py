@@ -4,10 +4,12 @@ The reference counts ridge incidence with a Counter, searches the
 facet-adjacency graph built from pairs of facets sharing a ridge, and
 takes f(boundary) from a boundary complex built afresh with from_facets
 and expanded in full.  Every census field, and the errors of boundary(),
-must match it.  The census itself never calls ``faces`` or ``f_vector``:
-it reads the top counts off the ridge map and counts the faces below the
-ridges, of the complex and of its boundary, from one expansion of each
-facet.
+must match it.  The census itself never calls ``faces`` or ``f_vector``
+and builds no complex.  It reads the top counts off the ridge pass and
+counts the faces of the complex, and then of its boundary, by one rule:
+below six vertices per facet it expands each dimension below the ridges,
+and from six up it shells, falling back to the expansion when a greedy
+shelling gets stuck.  The fixtures at n = 6 and 7 take each route.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genoball import complexes
 from genoball.complexes import (
     BallCheckReport,
     Complex,
@@ -157,6 +160,26 @@ def test_spheres_and_balls_built_from_them(family, n):
 def test_arbitrary_facet_sets(facets):
     # mostly not balls: overflowing, disconnected and closed complexes, and
     # facets with several boundary ridges
+    assert_census_matches_reference(from_facets(facets))
+
+
+@st.composite
+def _facet_sets_at_the_shelling_size(draw):
+    """Random facet sets with n = 6 or 7: arbitrary ones, which mostly
+    overflow, and subsets of a stacked ball's facets, which are shelled,
+    or get stuck when the subset is disconnected."""
+    n = draw(st.integers(6, 7))
+    if draw(st.booleans()):
+        vertex = st.integers(1, n + 3)
+        facet = st.lists(vertex, min_size=n, max_size=n, unique=True)
+        return draw(st.lists(facet, min_size=1, max_size=8))
+    facets = sorted(stacked_ball(n, draw(st.integers(1, 12)), draw(st.integers(0, 2**32))).facets)
+    return draw(st.lists(st.sampled_from(facets), min_size=1, max_size=len(facets), unique=True))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_facet_sets_at_the_shelling_size())
+def test_arbitrary_facet_sets_at_the_shelling_size(facets):
     assert_census_matches_reference(from_facets(facets))
 
 
@@ -305,6 +328,15 @@ def test_stacked_rows_match_the_closed_form(seed):
     assert tuple(census.f_boundary) == tuple(t - i for t, i in zip(total, interior))[: n - 1]
 
 
+# n = 6 and 7, the smallest sizes the census shells; the first three are
+# counted by expansion after all
+TWO_DISJOINT_5_SIMPLICES = from_facets([range(1, 7), range(7, 13)])  # stuck: disconnected
+RIDGE_IN_THREE_N6 = from_facets([[1, 2, 3, 4, 5, x] for x in (6, 7, 8)])  # not shelled
+# {i, ..., i+5} mod 13: no ball, so every greedy shelling gets stuck
+SOLID_TORUS_N6 = from_facets([[(i + t) % 13 for t in range(6)] for i in range(13)])
+CROSS_POLYTOPE_N6 = boundary_sphere("cross_polytope", 6)  # closed, shelled
+STACKED_7_30 = stacked_ball(7, 30, 1)  # its boundary, with n - 1 = 6, is shelled too
+
 SMALL_BALLS = pytest.mark.parametrize(
     "ball",
     [
@@ -317,9 +349,15 @@ SMALL_BALLS = pytest.mark.parametrize(
         # a ridge in three facets, so the rings are walked to name it
         from_facets([[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 3, 6], [1, 2, 4, 7]]),
         from_facets([[1], [2], [3]]),
+        TWO_DISJOINT_5_SIMPLICES,
+        RIDGE_IN_THREE_N6,
+        SOLID_TORUS_N6,
+        CROSS_POLYTOPE_N6,
+        STACKED_7_30,
     ],
     ids=["point", "segment", "simplex-7", "stacked-6-12", "sd-stacked-4-3", "disconnected",
-         "ridge-in-three-facets", "three-points"],
+         "ridge-in-three-facets", "three-points", "two-disjoint-5-simplices",
+         "ridge-in-three-facets-n6", "solid-torus-n6", "cross-polytope-n6", "stacked-7-30"],
 )
 
 
@@ -381,6 +419,44 @@ def test_census_builds_no_complex(monkeypatch, ball):
     C.census()
     monkeypatch.undo()
     assert built == []
+    assert_census_matches_reference(C)
+
+
+@pytest.mark.parametrize(
+    "ball, shellings",
+    [
+        (stacked_ball(9, 60, 1), [(9, True), (8, True)]),
+        (simplex_ball(13), [(13, True), (12, True)]),
+        (STACKED_7_30, [(7, True), (6, True)]),
+        (CROSS_POLYTOPE_N6, [(6, True)]),  # no boundary to count
+        (TWO_DISJOINT_5_SIMPLICES, [(6, False)]),
+        (SOLID_TORUS_N6, [(6, False)]),
+        (RIDGE_IN_THREE_N6, []),
+        (stacked_ball(6, 12, 1), [(6, True)]),
+        (stacked_ball(5, 12, 1), []),
+        (barycentric_subdivision(stacked_ball(4, 3, 2)), []),
+        (cone_over_boundary(boundary_sphere("cross_polytope", 4)), []),
+    ],
+    ids=["stacked-9-60", "simplex-13", "stacked-7-30", "cross-polytope-n6",
+         "two-disjoint-5-simplices", "solid-torus-n6", "ridge-in-three-facets-n6",
+         "stacked-6-12", "stacked-5-12", "sd-stacked-4-3", "cone-cross-polytope-4"],
+)
+def test_census_shells_from_six_vertices_per_facet(monkeypatch, ball, shellings):
+    # (n, whether the greedy shelling reached every facet) for each call, the
+    # ball's first and its boundary's second; below n = 6 nothing is shelled
+    shelling = complexes._shelling
+    calls = []
+
+    def spy_shelling(facets, n, partner):
+        h = shelling(facets, n, partner)
+        calls.append((n, h is not None))
+        return h
+
+    C = Complex(ball.facets)
+    monkeypatch.setattr(complexes, "_shelling", spy_shelling)
+    C.census()
+    monkeypatch.undo()
+    assert calls == shellings
     assert_census_matches_reference(C)
 
 

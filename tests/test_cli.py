@@ -632,6 +632,55 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genocchi", HUGE],
+        # a list of this length fails CPython's size check before any allocation
+        ["genocchi", str(2**61)],
+        ["generate", "simplex", "--n", HUGE, "--out", "{out}"],
+        ["generate", "cone", "--base", "cross_polytope", "--n", HUGE, "--out", "{out}"],
+        ["generate", "sphere-minus-facet", "--base", "simplex", "--n", HUGE, "--out", "{out}"],
+        ["verify", "--corpus", "--grid", "{grid}"],
+    ],
+    ids=["genocchi", "genocchi-memory", "simplex", "cone", "sphere-minus-facet", "grid"],
+)
+def test_oversized_integer_is_input_error(tmp_path, capsys, argv):
+    # too large to index or to allocate: one error line and exit 2, no traceback
+    out_path, grid = tmp_path / "u.json", tmp_path / "grid.json"
+    grid.write_text(f'{{"simplex_n": [{HUGE}]}}')
+    code, out, err = run([arg.format(out=out_path, grid=grid) for arg in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_message_less_memory_error_reads_out_of_memory(capsys, monkeypatch):
+    def exhausted(N):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._METHODS, "series", exhausted)
+    assert run(["genocchi", "3", "--method", "series"], capsys) == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("command", ["fvector", "verify"])
+def test_one_facet_file_with_40_vertices_finishes(tmp_path, capsys, command):
+    # 2^40 subsets: counted by a shelling, not by expansion
+    path = tmp_path / "s40.json"
+    save_complex(simplex_ball(40), path)
+    code, out, err = run([command, str(path)], capsys)
+    assert (code, err) == (0, "")
+    if command == "fvector":
+        assert out.splitlines()[-1] == "f(int B) = " + "0 " * 39 + "1"
+    else:
+        assert out.endswith("all identities hold\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

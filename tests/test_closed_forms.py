@@ -1,4 +1,5 @@
-"""Closed-form f-vectors of every default-corpus ball, against its census.
+"""Closed-form f-vectors of every default-corpus ball, and of two balls with
+n >= 30 that the census can count only by a shelling, against the census.
 
 The expected rows of f(B) and f(bd B) come from the corpus grid and the
 ball names alone, by formulas over ``math.comb``; nothing here counts
@@ -13,6 +14,7 @@ from math import comb
 import pytest
 
 from genoball.corpus import BALL_NAMES, DEFAULT_GRID, corpus_balls
+from genoball.generators import simplex_ball, stacked_ball
 
 
 def simplex_boundary(k):
@@ -96,3 +98,18 @@ def test_census_matches_the_closed_form(balls, name):
     f, bd = EXPECTED[name]
     assert list(census.f) == f
     assert list(census.f_boundary) == bd
+
+
+@pytest.mark.parametrize(
+    "ball",
+    [simplex_ball(40), stacked_ball(30, 100, 1)],
+    ids=["simplex-40", "stacked-30-100-1"],
+)
+def test_large_n_census_matches_the_closed_form(ball):
+    # 2^30 and more subsets per facet: too many to expand, so the census shells
+    n, m = ball.n, len(ball.facets)
+    f = [comb(n, j + 1) + (m - 1) * comb(n - 1, j) for j in range(n)]
+    interior = [0] * (n - 2) + [m - 1, m]
+    census = ball.census()
+    assert list(census.f) == f
+    assert list(census.f_boundary) == [f[j] - interior[j] for j in range(n - 1)]
