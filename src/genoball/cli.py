@@ -21,17 +21,9 @@ import json
 import sys
 
 from .complexes import FVector
-from .corpus import BALL_NAMES, DEFAULT_GRID, corpus_balls, grid_from_json
+from .corpus import BARYCENTRIC_NAME, DEFAULT_GRID, FAMILIES, corpus_balls, grid_from_json
 from .fileio import load_complex, load_json, save_complex
-from .generators import (
-    SPHERE_FAMILIES,
-    barycentric_subdivision,
-    boundary_sphere,
-    cone_over_boundary,
-    simplex_ball,
-    sphere_minus_facet,
-    stacked_ball,
-)
+from .generators import SPHERE_FAMILIES, barycentric_subdivision, boundary_sphere
 from .genocchi import (
     SelfCheckError,
     genocchi_by_bernoulli,
@@ -81,27 +73,17 @@ _OPTIONS = {
     "in": dict(dest="infile", required=True, help="input facet file"),
 }
 
-# generate family -> (the options it reads, its builder from the parsed arguments)
-_FAMILIES = {
-    "simplex": (("n",), lambda a: simplex_ball(a.n)),
-    "stacked": (("n", "m", "seed"), lambda a: stacked_ball(a.n, a.m, a.seed)),
-    "cone": (("base", "n"), lambda a: cone_over_boundary(boundary_sphere(a.base, a.n))),
-    "sphere-minus-facet": (
-        ("base", "n"),
-        lambda a: sphere_minus_facet(boundary_sphere(a.base, a.n)),
-    ),
-    "barycentric": (("in",), None),  # reads a file: built in _cmd_generate
-}
-
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.family == "barycentric":
         source, source_name = load_complex(args.infile)
         ball = barycentric_subdivision(source)
-        name = BALL_NAMES["barycentric"].format(name=source_name) if source_name else "sd"
+        name = BARYCENTRIC_NAME.format(name=source_name) if source_name else "sd"
     else:
-        ball = args.build(args)
-        name = BALL_NAMES[args.family].format_map(vars(args))
+        fields, build, name = FAMILIES[args.family]
+        options = {option: getattr(args, option) for option in fields}
+        ball = build(boundary_sphere, **options)
+        name = name.format_map(options)
     save_complex(ball, args.out, name)
     return 0
 
@@ -239,12 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a generated ball to a facet file")
     families = p.add_subparsers(dest="family", required=True)
-    for family, (options, build) in _FAMILIES.items():
+    rows = [(family, fields) for family, (fields, _, _) in FAMILIES.items()]
+    for family, options in [*rows, ("barycentric", ["in"])]:
         q = families.add_parser(family)
         for option in options:
             q.add_argument(f"--{option}", **_OPTIONS[option])
         q.add_argument("--out", required=True, help="output facet file")
-        q.set_defaults(func=_cmd_generate, build=build)
+        q.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("fvector", help="print total/boundary/interior f-vectors")
     p.add_argument("input", help="facet file")

@@ -9,6 +9,8 @@ fields are rejected.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import namedtuple
 
 from .complexes import Complex
@@ -22,17 +24,36 @@ from .generators import (
     stacked_ball,
 )
 
-__all__ = ["BALL_NAMES", "CorpusGrid", "DEFAULT_GRID", "grid_from_json", "corpus_balls"]
+__all__ = [
+    "BARYCENTRIC_NAME", "FAMILIES", "CorpusGrid", "DEFAULT_GRID", "grid_from_json", "corpus_balls"
+]
 
-# Ball names by ``generate`` family: a generated file carries the name
-# that the corpus gives the same ball.
-BALL_NAMES = {
-    "simplex": "simplex-n{n}",
-    "stacked": "stacked-n{n}-m{m}-s{seed}",
-    "cone": "cone-{base}-n{n}",
-    "sphere-minus-facet": "minus-facet-{base}-n{n}",
-    "barycentric": "sd-{name}",
+# generate family -> (each option it reads -> the CorpusGrid field of its
+# values, in loop order; its builder from a sphere maker and the options;
+# its ball name), in corpus order.  A generated file carries the name that
+# the corpus gives the same ball.  The builders look the generators up in
+# this module when they run, so a generator replaced here (as the
+# benchmark's tracer does) is the one both `generate` and the corpus call.
+FAMILIES = {
+    "simplex": ({"n": "simplex_n"}, lambda sphere, n: simplex_ball(n), "simplex-n{n}"),
+    "stacked": (
+        {"n": "stacked_n", "m": "stacked_m", "seed": "stacked_seeds"},
+        lambda sphere, n, m, seed: stacked_ball(n, m, seed),
+        "stacked-n{n}-m{m}-s{seed}",
+    ),
+    "cone": (
+        {"base": "sphere_bases", "n": "sphere_n"},
+        lambda sphere, base, n: cone_over_boundary(sphere(base, n)),
+        "cone-{base}-n{n}",
+    ),
+    "sphere-minus-facet": (
+        {"base": "sphere_bases", "n": "sphere_n"},
+        lambda sphere, base, n: sphere_minus_facet(sphere(base, n)),
+        "minus-facet-{base}-n{n}",
+    ),
 }
+# barycentric subdivides a ball that exists: a file, or an earlier corpus ball
+BARYCENTRIC_NAME = "sd-{name}"
 
 
 class CorpusGrid(
@@ -93,30 +114,20 @@ def corpus_balls(
 ) -> list[tuple[str, Complex]]:
     """All corpus balls as (name, complex) pairs, in fixed order.
 
-    The subdivision entries subdivide every earlier ball whose ambient n
+    Each ``FAMILIES`` row gives one ball per element of the product of its
+    grid fields, taken in row order.  The subdivision entries subdivide every earlier ball whose ambient n
     is at most ``grid.barycentric_max_n``.  ``max_n`` filters the final
     list by ambient n.
     """
     balls: list[tuple[str, Complex]] = []
-    for n in grid.simplex_n:
-        balls.append((BALL_NAMES["simplex"].format(n=n), simplex_ball(n)))
-    for n in grid.stacked_n:
-        for m in grid.stacked_m:
-            for seed in grid.stacked_seeds:
-                name = BALL_NAMES["stacked"].format(n=n, m=m, seed=seed)
-                balls.append((name, stacked_ball(n, m, seed)))
-    spheres = [
-        (base, n, boundary_sphere(base, n))
-        for base in grid.sphere_bases
-        for n in grid.sphere_n
-    ]
-    for base, n, sphere in spheres:
-        balls.append((BALL_NAMES["cone"].format(base=base, n=n), cone_over_boundary(sphere)))
-    for base, n, sphere in spheres:
-        name = BALL_NAMES["sphere-minus-facet"].format(base=base, n=n)
-        balls.append((name, sphere_minus_facet(sphere)))
+    # the cones and the spheres minus a facet share each (base, n) sphere
+    sphere = functools.cache(boundary_sphere)
+    for fields, build, name in FAMILIES.values():
+        for values in itertools.product(*[getattr(grid, f) for f in fields.values()]):
+            options = dict(zip(fields, values))
+            balls.append((name.format_map(options), build(sphere, **options)))
     subdivided = [
-        (BALL_NAMES["barycentric"].format(name=name), barycentric_subdivision(ball))
+        (BARYCENTRIC_NAME.format(name=name), barycentric_subdivision(ball))
         for name, ball in balls
         if ball.n <= grid.barycentric_max_n
     ]

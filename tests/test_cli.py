@@ -21,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genoball
-from genoball import cli, genocchi, verify
-from genoball.corpus import BALL_NAMES, corpus_balls
+from genoball import cli, corpus, genocchi, verify
+from genoball.corpus import FAMILIES, corpus_balls
 from genoball.fileio import load_complex, save_complex
-from genoball.generators import simplex_ball, stacked_ball
+from genoball.generators import boundary_sphere, simplex_ball, stacked_ball
 from genoball.verify import IdentityCheck, VerificationReport, verify_ball
 
 
@@ -222,8 +222,12 @@ class TestGenerateCommand:
         assert f"error: unrecognized arguments: {' '.join(extra)}\n" in err
         assert not out_file.exists()
 
-    def test_families_are_the_ball_families(self):
-        assert set(cli._FAMILIES) == set(BALL_NAMES)
+    def test_families_are_the_ball_families(self, capsys):
+        # a sub-parser for each FAMILIES row, in table order, then barycentric
+        code, out, _ = run(["generate", "--help"], capsys)
+        assert code == 0
+        listed = re.search(r"\{([a-z,-]+)\}", out).group(1).split(",")
+        assert listed == [*FAMILIES, "barycentric"]
 
     @pytest.mark.parametrize("family", GENERATE_OPTIONS)
     def test_help_lists_the_family_options(self, capsys, family):
@@ -232,14 +236,26 @@ class TestGenerateCommand:
         listed = set(re.findall(r"(?<![\w-])--[a-z]+", out))
         assert listed == {f"--{o}" for o in GENERATE_OPTIONS[family]} | {"--help", "--out"}
 
-    def test_builders_call_the_generators_of_the_cli_module(self, tmp_path, capsys,
-                                                            monkeypatch):
-        # the benchmark's tracer times a generator by replacing it in this module
+    @pytest.mark.parametrize(
+        "family, generator, expected",
+        [
+            ("simplex", "simplex_ball", (3,)),
+            ("stacked", "stacked_ball", (3, 2, 1)),
+            ("cone", "cone_over_boundary", (boundary_sphere("simplex", 3),)),
+            ("sphere-minus-facet", "sphere_minus_facet", (boundary_sphere("simplex", 3),)),
+        ],
+        ids=["simplex", "stacked", "cone", "sphere-minus-facet"],
+    )
+    def test_builders_call_the_generators_of_the_corpus_module(
+        self, tmp_path, capsys, monkeypatch, family, generator, expected
+    ):
+        # the benchmark's tracer times a generator by replacing it in each module
         calls = []
-        monkeypatch.setattr(cli, "stacked_ball", lambda *a: calls.append(a) or stacked_ball(*a))
-        code, _, _ = run(["generate", "stacked", "--n", "3", "--m", "2",
-                          "--out", str(tmp_path / "x.json")], capsys)
-        assert code == 0 and calls == [(3, 2, 1)]
+        original = getattr(corpus, generator)
+        monkeypatch.setattr(corpus, generator, lambda *a: calls.append(a) or original(*a))
+        code, _, _ = run([*generate_argv(family, None), "--out", str(tmp_path / "x.json")],
+                         capsys)
+        assert code == 0 and calls == [expected]
 
     def test_output_round_trips_through_verify(self, tmp_path, capsys):
         out_file = tmp_path / "ball.json"
@@ -388,6 +404,28 @@ class TestVerifyCommand:
         # simplex 3,4 + one stacked + 2 cones + 2 minus-facet + sd of the
         # one ambient-n<=2 ball
         assert "verified 8 balls" in out
+
+    def test_grid_with_empty_fields(self, tmp_path, capsys):
+        # a family with an empty field has no balls; the others keep theirs
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "simplex_n": [], "stacked_m": [], "sphere_n": [3], "barycentric_max_n": 0,
+        }))
+        code, out, _ = run(["verify", "--corpus", "--grid", str(grid)], capsys)
+        assert code == 0
+        *balls, total = out.splitlines()
+        assert [line.split()[1] for line in balls] == [
+            "cone-simplex-n3", "cone-cross_polytope-n3",
+            "minus-facet-simplex-n3", "minus-facet-cross_polytope-n3",
+        ]
+        assert total == "verified 4 balls, 14 identity checks: all residuals zero"
+
+    def test_grid_with_every_family_empty_is_input_error(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"simplex_n": [], "stacked_n": [], "sphere_bases": []}')
+        code, out, err = run(["verify", "--corpus", "--grid", str(grid)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: corpus is empty (check --max-n / --grid)\n"
 
     def test_unknown_grid_field_rejected(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"

@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from genoball.corpus import BALL_NAMES, DEFAULT_GRID, corpus_balls
+from genoball.corpus import BARYCENTRIC_NAME, DEFAULT_GRID, FAMILIES, corpus_balls
 from genoball.generators import simplex_ball, stacked_ball
 
 
@@ -53,7 +53,7 @@ def expected_rows(grid=DEFAULT_GRID):
     """name -> (f(B), f(bd B)) for every ball of the grid, in corpus order."""
     rows = {}
     for n in grid.simplex_n:
-        rows[BALL_NAMES["simplex"].format(n=n)] = (
+        rows[FAMILIES["simplex"][2].format(n=n)] = (
             [comb(n, j + 1) for j in range(n)],
             simplex_boundary(n),
         )
@@ -64,19 +64,19 @@ def expected_rows(grid=DEFAULT_GRID):
                 # j-faces; its interior is (0, ..., 0, m - 1, m)
                 f = [comb(n, j + 1) + (m - 1) * comb(n - 1, j) for j in range(n)]
                 interior = [0] * (n - 2) + [m - 1, m]
-                name = BALL_NAMES["stacked"].format(n=n, m=m, seed=seed)
+                name = FAMILIES["stacked"][2].format(n=n, m=m, seed=seed)
                 rows[name] = (f, [f[j] - interior[j] for j in range(n - 1)])
     spheres = [(base, n, sphere(base, n)) for base in grid.sphere_bases for n in grid.sphere_n]
     for base, n, S in spheres:
-        rows[BALL_NAMES["cone"].format(base=base, n=n)] = (cone(S), S)
+        rows[FAMILIES["cone"][2].format(base=base, n=n)] = (cone(S), S)
     for base, n, S in spheres:
         # one top face fewer; the boundary is that of the removed facet
-        name = BALL_NAMES["sphere-minus-facet"].format(base=base, n=n)
+        name = FAMILIES["sphere-minus-facet"][2].format(base=base, n=n)
         rows[name] = (S[:-1] + [S[-1] - 1], simplex_boundary(len(S)))
     for name, (f, bd) in list(rows.items()):
         if len(f) <= grid.barycentric_max_n:
             # bd(sd B) = sd(bd B)
-            rows[BALL_NAMES["barycentric"].format(name=name)] = (subdivided(f), subdivided(bd))
+            rows[BARYCENTRIC_NAME.format(name=name)] = (subdivided(f), subdivided(bd))
     return rows
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genoball import corpus
 from genoball.complexes import NoBoundaryError, from_facets
 from genoball.corpus import corpus_balls
 from genoball.generators import (
@@ -320,3 +321,19 @@ def test_generators_emit_normal_form():
             assert_normal_form(ball)
         except AssertionError as exc:
             raise AssertionError(f"{name}: {exc}") from exc
+
+
+def test_corpus_makes_each_sphere_once(monkeypatch):
+    # a cone and a sphere minus a facet on the same (base, n) share one
+    # sphere, built and screened once per corpus_balls call
+    calls = []
+
+    def counting(base, n):
+        calls.append((base, n))
+        return boundary_sphere(base, n)
+
+    monkeypatch.setattr(corpus, "boundary_sphere", counting)
+    corpus_balls()
+    assert len(calls) == 8 and len(set(calls)) == 8
+    corpus_balls()  # no sphere outlives the call that made it
+    assert len(calls) == 16 and calls[8:] == calls[:8]
