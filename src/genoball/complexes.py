@@ -4,14 +4,15 @@ A complex is stored by its facet set alone.  Its census generates each
 facet's ridges once and records which facets share each ridge in one
 flat integer array, ``partner``: slot i*n + r is the r-th ridge of facet
 i; the facet across position p of facet i is partner[i*n + n-1-p] // n,
-or none when that slot holds -1.  The adjacency search, the boundary
-ridges, the overflow check (a count identity) and the shelling all read
-that array.  The faces of the complex, and then of its boundary, are
-counted by one rule: below six vertices per facet each dimension below
-the ridges is expanded, and from six up a greedy shelling gives the
-h-vector, falling back to the expansion when it gets stuck; so the
-counts are exact either way.  The ball screen is read off those counts;
-one function lists its conditions and the sphere screen's.  The
+or none when that slot holds -1.  The boundary ridges, the overflow
+check (a count identity), the shelling and, unless a shelling reached
+every facet, the adjacency search read that array.  The faces of the
+complex, and then of its boundary, are counted by one rule: below six
+vertices per facet by expansion, with the complex's ridges read off its
+pass, and from six up by a greedy shelling over a ridge pass, whose
+h-vector gives f, falling back to the expansion when it gets stuck; so
+the counts are exact either way.  The ball screen is read off those
+counts; one function lists its conditions and the sphere screen's.  The
 boundary complex is built only when :meth:`Complex.boundary` is called.
 
 Faces are strictly increasing tuples of nonnegative integer vertex ids.
@@ -151,8 +152,8 @@ class Census(
     ball screen.  ``boundary_ridges`` is the frozenset of ridges in
     exactly one facet; for n = 1 the only ridge is the empty face, and
     ``f_boundary`` is empty, since the boundary of a point has no faces.
-    Each f-vector is counted from a ridge pass over its facets, by
-    expansion or by a shelling; no boundary complex is built.
+    Each f-vector is counted by expansion or by a shelling; no boundary
+    complex is built.
     ``ridge_overflow`` is, of the ridges in three or more facets, the one
     seen first in the ridge pass, with its full facet count, or None.  The
     f-vectors describe a ball only when ``report.ok``.
@@ -211,18 +212,16 @@ class Complex:
     def census(self) -> "Census":
         """Everything ``verify`` and ``fvector`` need, computed once and cached.
 
-        The census runs three steps: a ridge pass that records, in one
-        integer array, which facets share each ridge; an adjacency search
-        over that array; and the face counts, from which the ball screen
-        is built.  The ridge check, a count identity, the boundary ridges
-        and the adjacency search read the ridge pass, and no facet's
-        ridges are generated twice.  The faces of the complex, and then of
-        its boundary ridges after a ridge pass of their own, are counted
-        by expansion below n = 6 and by a shelling from 6 up, with the
-        expansion as the fallback when the shelling gets stuck; only
-        dimensions 0..n-3 are ever expanded.  :meth:`faces` and
-        :meth:`f_vector` are not called and no :class:`Complex` is built.
-        Never raises.
+        A ridge pass records, in one integer array, which facets share
+        each ridge; the ridge check (a count identity) and the boundary
+        ridges read it, and no facet's ridges are generated twice.  The
+        faces of the complex, and then of its boundary ridges, are counted
+        by expansion below n = 6 and from 6 up by a shelling over a ridge
+        pass (the boundary's own), with the expansion as the fallback when
+        the shelling gets stuck; only dimensions 0..n-3 are ever expanded.
+        The adjacency search runs only when no shelling reached every
+        facet.  :meth:`faces` and :meth:`f_vector` are not called and no
+        :class:`Complex` is built.  Never raises.
         """
         census = self._census
         if census is None:
@@ -238,14 +237,10 @@ class Complex:
             itertools.compress(first, [partner[k] < 0 for k in first.values()])
         )
         overflow = None if _no_ridge_in_three(first, partner) else _first_overflow(first, partner)
-        connected = _connected(partner, n, len(facets))
-        f = FVector(n, _face_counts(facets, n, first, partner))
-        # the boundary of a point is the empty complex, which has no faces
-        if n >= 2:
-            ridges = list(boundary_ridges)
-            f_bd = FVector(n - 1, _face_counts(ridges, n - 1, *_ridge_pass(ridges, n - 1)))
-        else:
-            f_bd = FVector(0, ())
+        f, shelled = _face_counts(facets, n, (first, partner))
+        # a shelling crosses only shared ridges, so reaching every facet connects them
+        connected = shelled or _connected(partner, n, len(facets))
+        f_bd = _face_counts(list(boundary_ridges), n - 1)[0]
         return Census(
             f=f,
             f_boundary=f_bd,
@@ -374,24 +369,29 @@ def _connected(partner: list[int], n: int, m: int) -> bool:
 
 
 def _face_counts(
-    facets: list[Face], n: int, first: dict[Face, int], partner: list[int]
-) -> tuple[int, ...]:
-    """f_0 .. f_{n-1} of a pure complex, given its ridge pass.
+    facets: list[Face], n: int, ridge_pass: tuple[dict[Face, int], list[int]] | None = None
+) -> tuple[FVector, bool]:
+    """The f-vector of a pure complex, and whether a shelling reached every facet.
 
-    From n = _SHELL_MIN_N up, if no ridge lies in three facets and a greedy
-    shelling reaches every facet, facet F adds the faces between R(F) and
-    F, so f_{j-1} = sum_r h_r C(n-r, j-r).  Otherwise the dimensions below
-    the ridges are expanded, and the ridge and facet counts (but not the
-    empty ridge of n = 1) come off the pass.
+    From n = _SHELL_MIN_N up, with ``ridge_pass`` or a pass of its own, if
+    no ridge lies in three facets and a greedy shelling reaches every
+    facet, F adds the faces between R(F) and F: f_{j-1} = sum_r h_r
+    C(n-r, j-r).  Otherwise the faces below the facets are expanded, but
+    the ridges are counted off a given pass and f_0 off the vertices.
     """
-    if n >= _SHELL_MIN_N and facets and _no_ridge_in_three(first, partner):
-        h = _shelling(facets, n, partner)
-        if h is not None:
-            return tuple(
+    if n >= _SHELL_MIN_N and facets:
+        ridge_pass = first, partner = ridge_pass or _ridge_pass(facets, n)
+        if _no_ridge_in_three(first, partner) and (h := _shelling(facets, n, partner)):
+            return FVector(n, tuple(
                 sum(h[r] * comb(n - r, j - r) for r in range(j + 1)) for j in range(1, n + 1)
-            )
-    lower = tuple(len(set(_subsets(facets, s))) for s in range(1, n - 1))
-    return lower + ((len(first),) if n >= 2 else ()) + (len(facets),)
+            )), True
+    # n = 0 is the boundary of a point, the empty complex; a point's empty ridge is not counted
+    if n < 2:
+        return FVector(n, (len(facets),) * n), False
+    ridges = len(ridge_pass[0]) if ridge_pass else len(set(_subsets(facets, n - 1)))
+    lower = [len(set(_subsets(facets, s))) for s in range(2, n - 1)]
+    vertices = [len(set(itertools.chain.from_iterable(facets)))] if n > 2 else []
+    return FVector(n, (*vertices, *lower, ridges, len(facets))), False
 
 
 def _shelling(facets: list[Face], n: int, partner: list[int]) -> list[int] | None:

@@ -83,8 +83,8 @@ DEFAULT_GRID = CorpusGrid(
 def grid_from_json(obj: dict) -> CorpusGrid:
     """A grid from a parsed JSON object, defaulting omitted fields.
 
-    Raises ValueError unless every field has its type: a list of integers,
-    a list of sphere family names, or (``barycentric_max_n``) an integer.
+    Raises ValueError unless each field is a list of distinct integers, of
+    distinct sphere family names or (``barycentric_max_n``) one integer.
     """
     if not isinstance(obj, dict):
         raise ValueError("corpus grid file must hold a JSON object")
@@ -102,10 +102,9 @@ def grid_from_json(obj: dict) -> CorpusGrid:
             expected = "a list of integers"
         if not ok:
             raise ValueError(f"corpus grid field {key!r} must be {expected}, got {value!r}")
-    overrides = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in obj.items()
-    }
+        if isinstance(value, list) and len(set(value)) < len(value):
+            raise ValueError(f"corpus grid field {key!r} repeats a value: {value!r}")
+    overrides = {key: tuple(v) if isinstance(v, list) else v for key, v in obj.items()}
     return DEFAULT_GRID._replace(**overrides)
 
 

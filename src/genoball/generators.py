@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 
 from .complexes import Complex, ComplexError, _screen_failures
 
@@ -159,27 +160,27 @@ def barycentric_subdivision(C: Complex) -> Complex:
     of C yields n! chains, hence f_{n-1}(sd C) = n! * f_{n-1}(C).
 
     A chain is an ordering of the facet's positions, and its faces are the
-    prefixes, written as position bitmasks.  The prefix bitmasks of every
-    ordering and the positions of every bitmask are tabled once per call,
-    so each facet looks up the ids of its 2^n - 1 faces once and no
-    prefix is sorted.  Ids grow with dimension and a chain's faces grow in
-    dimension, so every chain is increasing; its last face is its facet of
-    C and its prefixes fix the order, so no two chains are equal.
+    prefixes.  A facet's face ids form one run, by size and then in
+    combinations order; each ordering is tabled once per call as an
+    ``itemgetter`` of its prefixes' places in a run, so no chain is sorted.
+    Ids grow with dimension and a chain's faces grow in dimension, so every
+    chain is increasing; its last face is its facet of C and its prefixes
+    fix the order, so no two chains are equal.
     """
-    vid: dict[tuple[int, ...], int] = {}
-    for dim in range(C.n):
-        for face in sorted(C.faces(dim)):
-            vid[face] = len(vid) + 1
     n = C.n
+    by_dim = itertools.chain.from_iterable(sorted(C.faces(dim)) for dim in range(n))
+    vid = dict(zip(by_dim, itertools.count(1)))
+    sizes = range(1, n + 1)
+
+    def faces(facet):  # by size, each size in combinations order
+        return itertools.chain.from_iterable(map(itertools.combinations, [facet] * n, sizes))
+    # a face of the facet by the bitmask of its positions -> its place in the run
+    place = {sum(1 << p for p in positions): k for k, positions in enumerate(faces(range(n)))}
+    # a one-item itemgetter returns the bare item, so a point's chain is a slice
     rows = [
-        tuple(itertools.accumulate(1 << i for i in order))
+        operator.itemgetter(*map(place.__getitem__, itertools.accumulate(1 << i for i in order)))
+        if n > 1 else operator.itemgetter(slice(1))
         for order in itertools.permutations(range(n))
     ]
-    positions = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
-    # ids[mask] is the id of the face at mask's positions; no chain holds mask 0
-    id_tables = (
-        [0] + [vid[tuple(map(facet.__getitem__, pos))] for pos in positions]
-        for facet in C.facets
-    )
-    chains = (tuple(map(ids.__getitem__, row)) for ids in id_tables for row in rows)
-    return Complex(frozenset(chains))
+    runs = [tuple(map(vid.__getitem__, faces(facet))) for facet in C.facets]
+    return Complex(frozenset(itertools.chain.from_iterable(map(row, runs) for row in rows)))

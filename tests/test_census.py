@@ -5,11 +5,13 @@ facet-adjacency graph built from pairs of facets sharing a ridge, and
 takes f(boundary) from a boundary complex built afresh with from_facets
 and expanded in full.  Every census field, and the errors of boundary(),
 must match it.  The census itself never calls ``faces`` or ``f_vector``
-and builds no complex.  It reads the top counts off the ridge pass and
-counts the faces of the complex, and then of its boundary, by one rule:
-below six vertices per facet it expands each dimension below the ridges,
-and from six up it shells, falling back to the expansion when a greedy
-shelling gets stuck.  The fixtures at n = 6 and 7 take each route.
+and builds no complex.  It counts the faces of the complex, and then of
+its boundary, by one rule: below six vertices per facet it expands each
+dimension below the facets, reading the complex's ridges off its ridge
+pass, and from six up it shells over a ridge pass (the boundary's own),
+falling back to the expansion when a greedy shelling gets stuck.  The
+adjacency search runs only when no shelling reached every facet.  The
+fixtures at n = 6 and 7 take each route.
 """
 
 import contextlib
@@ -289,9 +291,14 @@ def test_each_kind_of_facet(facets):
         # vertex 1 lies on the boundary only through (1, 2), the lone
         # boundary ridge of [1, 2, 3]
         [[1, 2, 3], [1, 3, 4], [1, 3, 5], [1, 4, 5], [2, 3, 6]],
+        # closed, so the boundary row is n - 1 zeros: one for the cycle, and
+        # six for a sphere with n = 7, whose empty boundary is not shelled
+        [[1, 2], [2, 3], [1, 3]],
+        boundary_sphere("cross_polytope", 7).facets,
     ],
     ids=["ridge-overflow", "disconnected", "closed-sphere", "point", "two-points",
-         "three-points", "overflow-and-disconnected", "vertex-on-a-lone-ridge"],
+         "three-points", "overflow-and-disconnected", "vertex-on-a-lone-ridge",
+         "closed-cycle-n2", "cross-polytope-n7"],
 )
 def test_screen_failures_and_points(facets):
     assert_census_matches_reference(from_facets(facets))
@@ -457,6 +464,65 @@ def test_census_shells_from_six_vertices_per_facet(monkeypatch, ball, shellings)
     C.census()
     monkeypatch.undo()
     assert calls == shellings
+    assert_census_matches_reference(C)
+
+
+@SMALL_BALLS
+def test_census_passes_over_the_boundary_only_to_shell_it(monkeypatch, ball):
+    # the ball's ridge pass serves its own counts; its boundary, with n - 1
+    # vertices per facet, gets a pass of its own only where it is shelled,
+    # from n - 1 = 6 up, and below that its ridges are expanded
+    ridge_pass = complexes._ridge_pass
+    calls = []
+
+    def spy_ridge_pass(facets, n):
+        calls.append(n)
+        return ridge_pass(facets, n)
+
+    C = Complex(ball.facets)
+    monkeypatch.setattr(complexes, "_ridge_pass", spy_ridge_pass)
+    C.census()
+    monkeypatch.undo()
+    assert calls == ([ball.n, ball.n - 1] if ball.n >= 7 else [ball.n])
+    assert_census_matches_reference(C)
+
+
+@pytest.mark.parametrize(
+    "ball, searched",
+    [
+        (stacked_ball(9, 60, 1), False),
+        (simplex_ball(13), False),
+        (STACKED_7_30, False),
+        (CROSS_POLYTOPE_N6, False),
+        (SOLID_TORUS_N6, True),  # stuck
+        (TWO_DISJOINT_5_SIMPLICES, True),  # stuck
+        (RIDGE_IN_THREE_N6, True),  # not shelled
+        (stacked_ball(5, 12, 1), True),
+        (barycentric_subdivision(stacked_ball(4, 3, 2)), True),
+        (from_facets([[1, 2, 3], [4, 5, 6]]), True),
+        (simplex_ball(1), True),
+    ],
+    ids=["stacked-9-60", "simplex-13", "stacked-7-30", "cross-polytope-n6", "solid-torus-n6",
+         "two-disjoint-5-simplices", "ridge-in-three-facets-n6", "stacked-5-12",
+         "sd-stacked-4-3", "disconnected", "point"],
+)
+def test_adjacency_search_runs_only_when_no_shelling_reached_every_facet(
+    monkeypatch, ball, searched
+):
+    # a shelling crosses only shared ridges, so one that reaches every facet
+    # shows the facet-adjacency graph connected; below n = 6 none is run
+    connected = complexes._connected
+    calls = []
+
+    def spy_connected(partner, n, m):
+        calls.append(n)
+        return connected(partner, n, m)
+
+    C = Complex(ball.facets)
+    monkeypatch.setattr(complexes, "_connected", spy_connected)
+    C.census()
+    monkeypatch.undo()
+    assert calls == ([ball.n] if searched else [])
     assert_census_matches_reference(C)
 
 

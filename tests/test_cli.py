@@ -427,6 +427,13 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == "error: corpus is empty (check --max-n / --grid)\n"
 
+    def test_repeated_grid_value_is_input_error(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"simplex_n": [3, 3], "stacked_n": [], "sphere_bases": []}')
+        code, out, err = run(["verify", "--corpus", "--grid", str(grid)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: corpus grid field 'simplex_n' repeats a value: [3, 3]\n"
+
     def test_unknown_grid_field_rejected(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text('{"bogus": 1}')

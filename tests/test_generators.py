@@ -280,6 +280,28 @@ class TestBarycentricSubdivision:
         b = barycentric_subdivision(stacked_ball(3, 3, 8))
         assert a == b
 
+    @pytest.mark.parametrize(
+        "ball",
+        [from_facets([[7]]), from_facets([[2, 5]]), simplex_ball(3), simplex_ball(4),
+         simplex_ball(5), stacked_ball(5, 12, 1)],
+        ids=["point", "edge", "triangle", "tetra", "simplex-5", "stacked-5-12"],
+    )
+    def test_matches_the_chains_of_sorted_faces(self, ball):
+        # ids 1, 2, ... go to the faces in (dimension, lex) order, and each
+        # ordering of a facet's vertices is the chain of its sorted prefixes
+        n = ball.n
+        faces = {f for facet in ball.facets for s in range(1, n + 1)
+                 for f in itertools.combinations(facet, s)}
+        vid = {f: i for i, f in enumerate(sorted(faces, key=lambda f: (len(f), f)), 1)}
+        chains = {
+            tuple(vid[tuple(sorted(order[:s]))] for s in range(1, n + 1))
+            for facet in ball.facets
+            for order in itertools.permutations(facet)
+        }
+        sd = barycentric_subdivision(ball)
+        assert sd.facets == frozenset(chains)
+        assert sd.n == n
+
 
 @pytest.mark.parametrize(
     "ball,n",

@@ -179,6 +179,16 @@ def test_grid_from_json_rejects_unknown_fields():
         grid_from_json({"zz": 1, "bogus": 1, "simplex_n": [2]})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("simplex_n", [3, 3]), ("stacked_seeds", [1, 2, 1]), ("sphere_bases", ["simplex"] * 2)],
+)
+def test_grid_from_json_rejects_a_repeated_value(field, value):
+    # a repeated value would build, verify and report the same ball twice
+    with pytest.raises(ValueError, match=rf"corpus grid field '{field}' repeats a value"):
+        grid_from_json({field: value})
+
+
 def test_grid_from_json_overrides_only_the_given_fields():
     grid = grid_from_json({"simplex_n": [2, 3], "barycentric_max_n": 3})
     expected = {
