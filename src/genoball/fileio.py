@@ -13,6 +13,14 @@ facets become a :class:`Complex` as they are, without ``from_facets``.
 The facets are checked in a few bulk passes over all of them at once;
 only when one of those fails are they walked one by one, so that the
 error names the first offender in file order.
+
+Files are written with one facet per line, and a facet line is ``str`` of
+the facet's list of ids, not a ``json.dumps`` call: for a list of ``int``
+that text is byte for byte the JSON array, since ``json`` also writes an
+int with ``int.__repr__`` and separates items with ``", "``.  That holds
+only for ids of type exactly ``int`` (``str`` writes ``True``, ``json``
+writes ``true``), so :func:`save_complex` refuses any other id, as
+:func:`load_complex` does.
 """
 
 from __future__ import annotations
@@ -115,10 +123,11 @@ def load_complex(path: str | os.PathLike) -> tuple[Complex, str | None]:
 
 def _dumps(obj: dict) -> str:
     # one facet per line keeps files diffable without json.dumps exploding
-    # every vertex onto its own line
+    # every vertex onto its own line; a line is str() of the facet's list,
+    # which for int ids is its JSON array (see the module docstring)
     parts = [f'  "n": {obj["n"]}']
-    facets = ",\n".join(f"    {json.dumps(f)}" for f in obj["facets"])
-    parts.append(f'  "facets": [\n{facets}\n  ]')
+    facets = ",\n    ".join(map(str, obj["facets"]))
+    parts.append(f'  "facets": [\n    {facets}\n  ]')
     if "name" in obj:
         parts.append(f'  "name": {json.dumps(obj["name"])}')
     return "{\n" + ",\n".join(parts) + "\n}\n"
@@ -127,9 +136,16 @@ def _dumps(obj: dict) -> str:
 def save_complex(C: Complex, path: str | os.PathLike, name: str | None = None) -> None:
     """Write ``C`` as a facet file that :func:`load_complex` reads back.
 
-    Raises FileFormatError, and writes nothing, when the format cannot hold
-    the complex: a vertex id below 1, or a name that is not a string.
+    Raises FileFormatError, and leaves the path untouched, when the format
+    cannot hold the complex: empty facets, a vertex id that is not an
+    ``int`` (a ``bool`` is not one here) or is below 1, or a name that is
+    not a string.  The whole text is built before the file is opened.
     """
+    if C.n < 1:
+        raise FileFormatError(f'"n" must be a positive integer, got {C.n!r}')
+    if set(map(type, itertools.chain.from_iterable(C.facets))) != {int}:
+        bad = next(v for v in itertools.chain.from_iterable(C.facets) if type(v) is not int)
+        raise FileFormatError(f"vertex ids must be positive integers, got {bad!r}")
     obj = complex_to_obj(C, name)
     # facets are sorted tuples, so the first facet starts with the least id
     least = obj["facets"][0][0]
@@ -137,5 +153,6 @@ def save_complex(C: Complex, path: str | os.PathLike, name: str | None = None) -
         raise FileFormatError(f"vertex ids must be positive integers, got {least!r}")
     if name is not None and not isinstance(name, str):
         raise FileFormatError(f'"name" must be a string, got {name!r}')
+    text = _dumps(obj)
     with open(path, "w", encoding="utf-8") as file:
-        file.write(_dumps(obj))
+        file.write(text)

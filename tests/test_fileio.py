@@ -2,15 +2,17 @@
 
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genoball.complexes import from_facets
+from genoball.complexes import Complex, from_facets
 from genoball.fileio import (
     FileFormatError,
+    _dumps,
     complex_from_obj,
     complex_to_obj,
     load_complex,
@@ -214,3 +216,45 @@ def test_save_refuses_a_name_that_is_not_a_string(tmp_path):
     with pytest.raises(FileFormatError, match='"name" must be a string'):
         save_complex(stacked_ball(3, 2, 1), path, name=7)
     assert not path.exists()
+
+
+def _reference_dumps(obj):
+    """The writer as it was before facet lines skipped json: one json.dumps
+    call per facet line."""
+    parts = [f'  "n": {obj["n"]}']
+    facets = ",\n".join(f"    {json.dumps(f)}" for f in obj["facets"])
+    parts.append(f'  "facets": [\n{facets}\n  ]')
+    if "name" in obj:
+        parts.append(f'  "name": {json.dumps(obj["name"])}')
+    return "{\n" + ",\n".join(parts) + "\n}\n"
+
+
+_NAMES = st.none() | st.text(max_size=8) | st.sampled_from(['say "hi"', "back\\slash", "ball-π-∂", "ü\n\t"])
+
+
+@given(_accepted_complexes(), _NAMES)
+def test_dumps_writes_the_bytes_of_one_json_dumps_per_facet(ball, name):
+    obj = complex_to_obj(ball, name)
+    assert _dumps(obj) == _reference_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    ("ball", "message"),
+    [
+        (Complex(frozenset({(True, 2, 3)})), "positive integers, got True"),
+        (Complex(frozenset({(1, Fraction(3, 2), 2)})), r"positive integers, got Fraction\(3, 2\)"),
+        (Complex(frozenset({()})), '"n" must be a positive integer, got 0'),
+    ],
+    ids=["bool-vertex", "fraction-vertex", "empty-facet"],
+)
+@pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["no-file", "old-file"])
+def test_save_refuses_what_load_refuses_and_leaves_the_path_as_it_was(tmp_path, ball, message, old):
+    path = tmp_path / "ball.json"
+    if old is not None:
+        path.write_bytes(old)
+    with pytest.raises(FileFormatError, match=message):
+        save_complex(ball, path)
+    if old is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == old
