@@ -20,8 +20,10 @@ reduces a fraction.  The Bernoulli route runs Brent and Harvey's integer
 recurrence for the tangent numbers T_n ("Fast computation of Bernoulli,
 Tangent and Secant numbers", arXiv:1108.0286), then divides once per
 value.  The odd recursion works in ``int`` over an lcm that grows with
-the step, the series over a factorial that grows in blocks of
-coefficients, and the even recursion halves once per step.  Every
+the step, and the even recursion halves once per step.  The series keeps
+its quotient over a factorial that grows in blocks of coefficients,
+rescales only that quotient when the factorial grows, and sums each
+long-division step by Horner's rule, with big-by-small products.  Every
 division must leave no remainder, and `_exact_div` raises SelfCheckError
 if one does.  The two recursions read their binomial weights from
 Pascal's triangle, one row at a time (`_binomial_rows`); the series and
@@ -176,10 +178,12 @@ def _falling_products(top: int, new_top: int) -> list[int]:
     return list(falling)[::-1]
 
 
-#: Coefficients per block of the series route's growing scale.  At N = 100
-#: (median of 15 interleaved runs, Python 3.11, 2-core VM) blocks of 1 / 4 /
-#: 8 / 16 / 32 took 19 / 15 / 16 / 15 / 17 ms, against 30-35 ms for the one
-#: scale (2N+1)! throughout; 4 to 16 are within noise at N = 250 as well.
+#: Coefficients per block of the series route's growing scale.  With the
+#: Horner step (medians of interleaved runs, two rounds, Python 3.11, 2-core
+#: VM) blocks of 1 / 4 / 8 / 16 / 32 took 4.6-4.7 / 3.7-3.8 / 3.5-3.6 /
+#: 3.4 / 3.4-3.5 ms at N = 100 and 45-55 / 40-41 / 39 / 39 / 38-39 ms at
+#: N = 250, against 3.8-3.9 and 53-54 ms for the one scale (2N+1)!
+#: throughout.  8 to 32 are within noise of each other at both sizes.
 _SERIES_BLOCK = 8
 
 
@@ -193,34 +197,44 @@ def genocchi_by_series(N: int) -> GenocchiTable:
     is d_0 = 2s, d_k = s/k! (k <= top), and the quotient is kept as the
     integers Q_j = s [t^j], solved from
 
-        Q_i = (num_i s^2 - sum_{j<i} Q_j d_{i-j}) / d_0,   num = 2t.
+        Q_i = (num_i s^2 - sum_{k=1}^{i} Q_{i-k} d_k) / d_0,   num = 2t.
 
-    Q_j is an integer for every j <= top, because j! [t^j] = G_j is.  When
-    top advances, every stored Q_j and d_k is multiplied by the block ratio
-    (top+1)...(new_top), and d_k = new_top!/k! is appended for the new k;
-    `_falling_products` gives both without a division.  Early steps thus
-    multiply small integers, and the last block ends at the full scale
-    D = (2N+1)!.  Then G_{2n} = (2n)! Q_{2n} / D.  Both divisions are
-    checked to be exact.  The odd part of the quotient is checked on the
-    way out: [t^1] must equal 1 and every higher odd coefficient through
-    t^{2N+1} must vanish.
+    Q_j is an integer for every j <= top, because j! [t^j] = G_j is.  The
+    sum is evaluated by Horner's rule: since d_{k-1} = k d_k, it equals
+    d_i H_i, where H = Q_{i-1} and then H = H k + Q_{i-k} for k = 2..i.
+    So step i multiplies a big integer by a small one i - 1 times and by
+    another big integer once, and reads no d_k but d_0 and d_i.  The
+    weights are the integers k, not binomials.  When top advances, every
+    stored Q_j is multiplied by the block ratio (top+1)...(new_top), and
+    only the new block's d_k = new_top!/k! are kept; `_falling_products`
+    gives both without a division.  Early steps thus multiply small
+    integers, and the last block ends at the full scale D = (2N+1)!.  Then
+    G_{2n} = (2n)! Q_{2n} / D.  Both divisions are checked to be exact.
+    The odd part of the quotient is checked on the way out: [t^1] must
+    equal 1 and every higher odd coefficient through t^{2N+1} must vanish.
     """
     _require_positive(N)
     degree = 2 * N + 1
+    # Only num[1] is ever nonzero, but the list is built in full: for an N
+    # too large to allocate it fails here, before any arithmetic, so
+    # ``genocchi N`` exits with an error instead of hanging in a later route.
     num = [0, 2] + [0] * (degree - 1)
     top, s = 0, 1
-    d = [2 * s]
     Q: list[int] = []
     for i in range(degree + 1):
         if i > top:
             new_top = min(top + _SERIES_BLOCK, degree)
-            ratio, *fresh = _falling_products(top, new_top)
-            s *= ratio
-            Q = [q * ratio for q in Q]
-            d = [x * ratio for x in d] + fresh
-            top = new_top
-        acc = num[i] * s * s - sum(map(operator.mul, Q, d[i:0:-1]))
-        Q.append(_exact_div(acc, d[0], f"s [t^{i}]"))
+            d = _falling_products(top, new_top)  # d[k - low] = d_k, k = low..top
+            low, top = top, new_top
+            s *= d[0]
+            Q = [q * d[0] for q in Q]
+        acc = num[i] * s * s
+        if i:
+            H = Q[i - 1]
+            for k in range(2, i + 1):
+                H = H * k + Q[i - k]
+            acc -= d[i - low] * H
+        Q.append(_exact_div(acc, 2 * s, f"s [t^{i}]"))
     D = s
     if Q[1] != D:
         raise SelfCheckError(f"[t^1] of 2t/(e^t+1) must be 1, got {Fraction(Q[1], D)}")

@@ -686,12 +686,21 @@ HUGE = str(10**20)
         ["genocchi", HUGE],
         # a list of this length fails CPython's size check before any allocation
         ["genocchi", str(2**61)],
+        ["genocchi", HUGE, "--method", "series"],
         ["generate", "simplex", "--n", HUGE, "--out", "{out}"],
         ["generate", "cone", "--base", "cross_polytope", "--n", HUGE, "--out", "{out}"],
         ["generate", "sphere-minus-facet", "--base", "simplex", "--n", HUGE, "--out", "{out}"],
         ["verify", "--corpus", "--grid", "{grid}"],
     ],
-    ids=["genocchi", "genocchi-memory", "simplex", "cone", "sphere-minus-facet", "grid"],
+    ids=[
+        "genocchi",
+        "genocchi-memory",
+        "genocchi-series",
+        "simplex",
+        "cone",
+        "sphere-minus-facet",
+        "grid",
+    ],
 )
 def test_oversized_integer_is_input_error(tmp_path, capsys, argv):
     # too large to index or to allocate: one error line and exit 2, no traceback

@@ -185,8 +185,9 @@ class TestSeries:
         assert blocks == list(zip(tops, tops[1:]))
 
     # Every boundary below adds a full block.  A wrong ratio at a final
-    # boundary that adds t^{2N+1} alone cannot show: Q and d stay on one
-    # common scale, and the only fresh d_k pairs with Q_0 = 0.
+    # boundary that adds t^{2N+1} alone cannot show: Q and s are rescaled
+    # by the same factor, and the one step in that block multiplies
+    # d_{2N+1} by a Horner sum that is zero.
     @pytest.mark.parametrize("boundary", [0, _SERIES_BLOCK, 2 * _SERIES_BLOCK])
     @pytest.mark.parametrize("delta", [1, -1])
     def test_block_ratio_off_by_one_is_caught(self, monkeypatch, boundary, delta):
@@ -556,15 +557,19 @@ class TestExactDivision:
         assert bernoulli(12).values == expected_bernoulli
 
     def test_wrong_series_coefficient_trips_odd_check(self, monkeypatch):
-        # d_3 = s/3! replaced by s where the first block computes it: every
-        # division stays exact through t^7 at N = 3 (one block, s = 7!), so
-        # only the odd-coefficient check can catch it
+        # d_2 = s/2! replaced by 3 s/2! where the first block computes it.
+        # Every division stays exact through t^7 at N = 3 (one block,
+        # s = 7!), so only the odd-coefficient check can catch it.  Step i
+        # reads d_i once, times a Horner sum that is zero at i = 1 and at
+        # every odd i >= 3, so a wrong d_1, d_3 or d_5 changes no value.
         def corrupted(top, new_top):
             out = _falling_products(top, new_top)
-            if top < 3 <= new_top:
-                out[3 - top] *= math.factorial(3)
+            if top < 2 <= new_top:
+                out[2 - top] *= 3
             return out
 
         monkeypatch.setattr(genocchi, "_falling_products", corrupted)
-        with pytest.raises(SelfCheckError, match=r"\[t\^5\] of 2t/\(e\^t\+1\) must vanish"):
+        with pytest.raises(
+            SelfCheckError, match=r"\[t\^3\] of 2t/\(e\^t\+1\) must vanish, got 1/2$"
+        ):
             genocchi_by_series(3)
