@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
+import struct
 
 from .complexes import Complex, ComplexError, _screen_failures
 
@@ -79,24 +80,36 @@ def stacked_ball(n: int, m: int, seed: int) -> Complex:
 
     The boundary ridges are kept in one sorted list across the steps: the
     glued ridge leaves it and the n-1 ridges through the fresh vertex join
-    it, so the build costs O(m*n) steps plus O(m*n) list inserts.  The
-    list exists only when m > 1, so ``stacked_ball(n, 1, seed)`` is O(n).
-    Each new facet is a sorted ridge plus a fresh vertex above all before
-    it, so the facets are sorted and distinct.
+    it.  Each ridge is its ids packed big-endian, 8 bytes per id (every id
+    is below 2^64), so two ridges compare with one ``memcmp`` in the order
+    of their tuples, and a new ridge is the glued one with one id cut out
+    and the fresh id appended.  The list holds up to m*(n-2) ridges and
+    every insert and pop shifts its tail, so the build is quadratic in m:
+    with n = 9, m = 3 000 takes about 0.1 s, m = 30 000 4-6 s and
+    m = 100 000 about 50 s.  The list exists only when m > 1, so
+    ``stacked_ball(n, 1, seed)`` is O(n).  Each new facet is a sorted
+    ridge plus a fresh vertex above all before it, so the facets are
+    sorted and distinct.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     rng = _Lcg(seed)
+    # built before any Struct: an n too large to allocate fails here with
+    # an error main reports, where a Struct of n fields raises struct.error
     facets = [tuple(range(1, n + 1))]
     if m > 1:
-        ridges = list(itertools.combinations(facets[0], n - 1))
+        key = struct.Struct(f">{n - 1}Q")
+        ridges = [key.pack(*ridge) for ridge in itertools.combinations(facets[0], n - 1)]
+        # byte spans of each id, last place first: the order of combinations(ridge, n - 2)
+        cuts = [(a, a + 8) for a in range(8 * (n - 2), -1, -8)]
         for fresh in range(n + 1, n + m):
             ridge = ridges.pop(rng.below(len(ridges)))
-            facets.append(ridge + (fresh,))
-            for sub in itertools.combinations(ridge, n - 2):
-                bisect.insort(ridges, sub + (fresh,))
+            facets.append(key.unpack(ridge) + (fresh,))
+            tail = fresh.to_bytes(8, "big")
+            for a, b in cuts:
+                bisect.insort(ridges, ridge[:a] + ridge[b:] + tail)
     return Complex(frozenset(facets))
 
 

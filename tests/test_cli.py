@@ -688,6 +688,7 @@ HUGE = str(10**20)
         ["genocchi", str(2**61)],
         ["genocchi", HUGE, "--method", "series"],
         ["generate", "simplex", "--n", HUGE, "--out", "{out}"],
+        ["generate", "stacked", "--n", HUGE, "--m", "2", "--out", "{out}"],
         ["generate", "cone", "--base", "cross_polytope", "--n", HUGE, "--out", "{out}"],
         ["generate", "sphere-minus-facet", "--base", "simplex", "--n", HUGE, "--out", "{out}"],
         ["verify", "--corpus", "--grid", "{grid}"],
@@ -697,6 +698,7 @@ HUGE = str(10**20)
         "genocchi-memory",
         "genocchi-series",
         "simplex",
+        "stacked",
         "cone",
         "sphere-minus-facet",
         "grid",

@@ -1,5 +1,6 @@
 """Ball generators: the five corpus families and their determinism."""
 
+import bisect
 import itertools
 import math
 import tracemalloc
@@ -103,6 +104,20 @@ def rescan_stacked_facets(n, m, seed):
     return frozenset(facets)
 
 
+def tuple_stacked_facets(n, m, seed):
+    """Reference stacking: one sorted list of boundary ridges kept as tuples."""
+    rng = _Lcg(seed)
+    facets = [tuple(range(1, n + 1))]
+    if m > 1:
+        ridges = list(itertools.combinations(facets[0], n - 1))
+        for fresh in range(n + 1, n + m):
+            ridge = ridges.pop(rng.below(len(ridges)))
+            facets.append(ridge + (fresh,))
+            for sub in itertools.combinations(ridge, n - 2):
+                bisect.insort(ridges, sub + (fresh,))
+    return frozenset(facets)
+
+
 class TestIncrementalStacking:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -126,6 +141,17 @@ class TestIncrementalStacking:
             tracemalloc.stop()
         assert ball.facets == frozenset({tuple(range(1, 3001))})
         assert peak - base < 1 << 20
+
+    @pytest.mark.parametrize(
+        "n,m,seed",
+        [(n, m, seed) for n, m in [(3, 400), (9, 300), (12, 250)] for seed in (1, 2, 3)]
+        + [(2, 70_000, 1)],
+    )
+    def test_byte_keys_match_tuple_keys(self, n, m, seed):
+        # ids beyond one byte (up to 411) and, at n = 2, beyond two (up to 70 001)
+        ball = stacked_ball(n, m, seed)
+        assert ball.facets == tuple_stacked_facets(n, m, seed)
+        assert max(ball.vertices) == n + m - 1
 
 
 class TestBoundarySphere:
