@@ -88,19 +88,11 @@ class FVector(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, counts: tuple[int, ...]):
-        if n != len(counts):
-            raise ValueError(f"n = {n} but {len(counts)} counts were given")
-        return super().__new__(cls, counts)
-
-    def __getnewargs__(self) -> tuple[int, tuple[int, ...]]:
-        return self.n, self.counts
-
     n = property(len)
     counts = property(tuple)
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(n={self.n!r}, counts={self.counts!r})"
+        return f"{type(self).__qualname__}({self.counts!r})"
 
     def __getitem__(self, dim: int | slice) -> int | tuple[int, ...]:
         # a slice goes to the tuple; only an int outside 0..n-1 reads 0
@@ -207,7 +199,7 @@ class Complex:
 
     def f_vector(self) -> FVector:
         """Counts of distinct i-faces for i = 0 .. n-1, one dimension at a time."""
-        return FVector(self.n, tuple(len(self.faces(d)) for d in range(self.n)))
+        return FVector(len(self.faces(d)) for d in range(self.n))
 
     def census(self) -> "Census":
         """Everything ``verify`` and ``fvector`` need, computed once and cached.
@@ -244,7 +236,7 @@ class Complex:
         return Census(
             f=f,
             f_boundary=f_bd,
-            f_interior=FVector(n, tuple(f[d] - f_bd[d] for d in range(n))),
+            f_interior=FVector(f[d] - f_bd[d] for d in range(n)),
             report=BallCheckReport(
                 n=n,
                 ridge_incidence_ok=overflow is None,
@@ -382,16 +374,16 @@ def _face_counts(
     if n >= _SHELL_MIN_N and facets:
         ridge_pass = first, partner = ridge_pass or _ridge_pass(facets, n)
         if _no_ridge_in_three(first, partner) and (h := _shelling(facets, n, partner)):
-            return FVector(n, tuple(
+            return FVector(
                 sum(h[r] * comb(n - r, j - r) for r in range(j + 1)) for j in range(1, n + 1)
-            )), True
+            ), True
     # n = 0 is the boundary of a point, the empty complex; a point's empty ridge is not counted
     if n < 2:
-        return FVector(n, (len(facets),) * n), False
+        return FVector((len(facets),) * n), False
     ridges = len(ridge_pass[0]) if ridge_pass else len(set(_subsets(facets, n - 1)))
     lower = [len(set(_subsets(facets, s))) for s in range(2, n - 1)]
     vertices = [len(set(itertools.chain.from_iterable(facets)))] if n > 2 else []
-    return FVector(n, (*vertices, *lower, ridges, len(facets))), False
+    return FVector((*vertices, *lower, ridges, len(facets))), False
 
 
 def _shelling(facets: list[Face], n: int, partner: list[int]) -> list[int] | None:

@@ -29,7 +29,8 @@ if one does.  The two recursions read their binomial weights from
 Pascal's triangle, one row at a time (`_binomial_rows`); the series and
 Bernoulli routes use no binomials, and no route calls `binomial` or
 ``math.comb``.  The identity residuals use ``fractions.Fraction`` and
-`binomial`.
+`binomial`.  Every route allocates its table's list in full before any
+arithmetic, so an N too large to allocate fails at once, never runs on.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return quotient
 
 
-class GenocchiTable(namedtuple("GenocchiTable", "max_index values method")):
-    """Genocchi numbers G_2 .. G_{max_index}, tagged with the producing method.
+class GenocchiTable(namedtuple("GenocchiTable", "values method")):
+    """Genocchi numbers G_2, G_4, ..., tagged with the producing method.
 
     ``values`` maps each even index to its integer G_index.
     """
@@ -127,8 +128,8 @@ class GenocchiTable(namedtuple("GenocchiTable", "max_index values method")):
         """G_index for any index covered by the table.
 
         Odd indices are served from the generating function itself:
-        G_1 = 1 and G_{2n+1} = 0 for n >= 1.  Even indices above
-        ``max_index`` raise InsufficientTableError.
+        G_1 = 1 and G_{2n+1} = 0 for n >= 1.  An even index that is not a
+        key of ``values`` raises InsufficientTableError.
         """
         if index < 0:
             raise ValueError(f"Genocchi index must be nonnegative, got {index}")
@@ -138,16 +139,17 @@ class GenocchiTable(namedtuple("GenocchiTable", "max_index values method")):
             return G1
         if index % 2 == 1:
             return 0
-        if index > self.max_index:
+        try:
+            return self.values[index]
+        except KeyError:
             raise InsufficientTableError(
-                f"table ({self.method}) covers indices through {self.max_index}, "
-                f"need {index}"
-            )
-        return self.values[index]
+                f"table ({self.method}) covers indices through "
+                f"{max(self.values, default=0)}, need {index}"
+            ) from None
 
 
-class BernoulliTable(namedtuple("BernoulliTable", "max_index values")):
-    """Bernoulli numbers B_0 .. B_{max_index} under the B_1 = -1/2 convention.
+class BernoulliTable(namedtuple("BernoulliTable", "values")):
+    """Bernoulli numbers B_0, B_1, ... under the B_1 = -1/2 convention.
 
     ``values`` maps each index to its Fraction B_index.
     """
@@ -155,11 +157,12 @@ class BernoulliTable(namedtuple("BernoulliTable", "max_index values")):
     __slots__ = ()
 
     def bernoulli(self, index: int) -> Fraction:
-        if not 0 <= index <= self.max_index:
+        try:
+            return self.values[index]
+        except KeyError:
             raise InsufficientTableError(
-                f"table covers indices 0..{self.max_index}, need {index}"
-            )
-        return self.values[index]
+                f"table covers indices 0..{max(self.values, default=-1)}, need {index}"
+            ) from None
 
 
 def _require_positive(N: int) -> None:
@@ -215,9 +218,7 @@ def genocchi_by_series(N: int) -> GenocchiTable:
     """
     _require_positive(N)
     degree = 2 * N + 1
-    # Only num[1] is ever nonzero, but the list is built in full: for an N
-    # too large to allocate it fails here, before any arithmetic, so
-    # ``genocchi N`` exits with an error instead of hanging in a later route.
+    # only num[1] is ever nonzero, but the list is built in full (module docstring)
     num = [0, 2] + [0] * (degree - 1)
     top, s = 0, 1
     Q: list[int] = []
@@ -248,7 +249,7 @@ def genocchi_by_series(N: int) -> GenocchiTable:
         2 * n: _exact_div(Q[2 * n] * math.factorial(2 * n), D, f"G_{2 * n}")
         for n in range(1, N + 1)
     }
-    return GenocchiTable(max_index=2 * N, values=values, method="series")
+    return GenocchiTable(values=values, method="series")
 
 
 def genocchi_by_recursion_even(N: int) -> GenocchiTable:
@@ -258,13 +259,13 @@ def genocchi_by_recursion_even(N: int) -> GenocchiTable:
     Step n reads its weights C(2n, 2k) from row 2n of Pascal's triangle.
     """
     _require_positive(N)
-    G = [0]  # G[k] = G_{2k}; G[0] is never read
+    G = [0] * (N + 1)  # G[k] = G_{2k}; G[0] is never read
     rows = itertools.islice(_binomial_rows(2 * N), 2, None, 2)
     for n, row in enumerate(rows, start=1):
         acc = sum(map(operator.mul, row[2 : 2 * n : 2], G[1:n]))
-        G.append(_exact_div(-2 * n - acc, 2, f"G_{2 * n}"))
+        G[n] = _exact_div(-2 * n - acc, 2, f"G_{2 * n}")
     values = {2 * k: G[k] for k in range(1, N + 1)}
-    return GenocchiTable(max_index=2 * N, values=values, method="recursion-even")
+    return GenocchiTable(values=values, method="recursion-even")
 
 
 def genocchi_by_recursion_odd(N: int) -> GenocchiTable:
@@ -280,7 +281,7 @@ def genocchi_by_recursion_odd(N: int) -> GenocchiTable:
     Step n reads C(2n, 2k-1) from row 2n of Pascal's triangle.
     """
     _require_positive(N)
-    G = [0]  # G[k] = G_{2k}; G[0] is never read
+    G = [0] * (N + 1)  # G[k] = G_{2k}; G[0] is never read
     W: list[int] = []  # W[k-1] = G_{2k} L/(2k) on the current L
     L = 1
     rows = itertools.islice(_binomial_rows(2 * N), 2, None, 2)
@@ -294,9 +295,9 @@ def genocchi_by_recursion_odd(N: int) -> GenocchiTable:
             scale = _exact_div(L, 2 * n - 2, f"lcm(2..{2 * n - 2}) / {2 * n - 2}")
             W.append(G[n - 1] * scale)
         acc = -L - sum(map(operator.mul, row[1 : 2 * n - 1 : 2], W))
-        G.append(_exact_div(acc, L, f"G_{2 * n}"))
+        G[n] = _exact_div(acc, L, f"G_{2 * n}")
     values = {2 * k: G[k] for k in range(1, N + 1)}
-    return GenocchiTable(max_index=2 * N, values=values, method="recursion-odd")
+    return GenocchiTable(values=values, method="recursion-odd")
 
 
 def _tangent_numbers(N: int) -> list[int]:
@@ -307,7 +308,8 @@ def _tangent_numbers(N: int) -> list[int]:
     N^2/2 products of a big integer by a small one, and no division.
     T_1, T_2, T_3, ... = 1, 2, 16, 272, ... (OEIS A000182).  Requires N >= 0.
     """
-    T = [0, *itertools.accumulate(range(1, N), operator.mul, initial=1)][: N + 1]
+    T = [0] * (N + 1)
+    T[1:] = map(math.factorial, range(N))
     for k in range(2, N + 1):
         for j in range(k, N + 1):
             T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
@@ -329,7 +331,7 @@ def bernoulli(M: int) -> BernoulliTable:
         values[1] = Fraction(-1, 2)
     for n in range(1, M // 2 + 1):
         values[2 * n] = Fraction((-1) ** (n - 1) * 2 * n * T[n], 4**n * (4**n - 1))
-    return BernoulliTable(max_index=M, values=values)
+    return BernoulliTable(values=values)
 
 
 def genocchi_by_bernoulli(N: int) -> GenocchiTable:
@@ -345,7 +347,7 @@ def genocchi_by_bernoulli(N: int) -> GenocchiTable:
         2 * n: _exact_div((-1) ** n * n * T[n], 4 ** (n - 1), f"G_{2 * n}")
         for n in range(1, N + 1)
     }
-    return GenocchiTable(max_index=2 * N, values=values, method="bernoulli")
+    return GenocchiTable(values=values, method="bernoulli")
 
 
 def dumont_count(n: int) -> int:

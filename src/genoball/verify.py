@@ -81,13 +81,15 @@ def _checked_binomials(k: int, i: int) -> tuple[int, int]:
 
 
 def genocchi_identity_residual(
-    k: int, interior: FVector, boundary: FVector, n: int, table: GenocchiTable
+    k: int, interior: FVector, boundary: FVector, table: GenocchiTable
 ) -> Fraction:
     """Left side minus right side of the Genocchi identity at dimension k.
 
-    Out-of-range f-vector entries read as 0; for k = n the sum is empty
-    and the residual is trivially zero.  Requires n - k even, 0 <= k <= n.
+    n is ``len(interior)``.  Out-of-range f-vector entries read as 0; for
+    k = n the sum is empty and the residual is trivially zero.  Requires
+    n - k even, 0 <= k <= n.
     """
+    n = len(interior)
     _require_even_gap(n, k)
     if not 0 <= k <= n:
         raise ValueError(f"k must be within 0..{n}, got {k}")
@@ -102,15 +104,14 @@ def genocchi_identity_residual(
     return Fraction(interior[k] * L - acc, L)
 
 
-def dehn_sommerville_residual(
-    k: int, interior: FVector, boundary: FVector, n: int
-) -> Fraction:
+def dehn_sommerville_residual(k: int, interior: FVector, boundary: FVector) -> Fraction:
     """Residual of the Dehn-Sommerville ball variant at dimension k.
 
     Returns f_k(int B) + f_k(bd B)/2
-            + sum_{i=1}^{n-k-1} ((-1)^{n+k+i}/2) C(k+1+i, k+1) f_{k+i}(int B).
-    Requires n - k even, 0 <= k <= n-2.
+            + sum_{i=1}^{n-k-1} ((-1)^{n+k+i}/2) C(k+1+i, k+1) f_{k+i}(int B),
+    where n is ``len(interior)``.  Requires n - k even, 0 <= k <= n-2.
     """
+    n = len(interior)
     _require_even_gap(n, k)
     if not 0 <= k <= n - 2:
         raise ValueError(f"k must be within 0..{n - 2}, got {k}")
@@ -122,23 +123,23 @@ def dehn_sommerville_residual(
 
 
 def no_interior_faces_residual(
-    k: int, interior: FVector, boundary: FVector, n: int, table: GenocchiTable
+    k: int, interior: FVector, boundary: FVector, table: GenocchiTable
 ) -> Fraction:
     """Residual of the boundary-only identity for interior-free dimensions.
 
     This is the Genocchi identity at f_k(int B) = 0, which decouples into
         sum_i (G_{2i}/(2i)) C(k+2i-1, k+1) f_{k+2i-2}(bd B)
       = sum_i (G_{2i}/(2i)) C(k+2i, k+1)   f_{k+2i-1}(int B),
-    both sums over 1 <= i <= floor((n-k)/2).  Returns left minus right,
-    which is the negated Genocchi residual.  Requires n - k even,
-    0 <= k <= n and f_k(int B) = 0.
+    both sums over 1 <= i <= floor((n-k)/2), where n is ``len(interior)``.
+    Returns left minus right, which is the negated Genocchi residual.
+    Requires n - k even, 0 <= k <= n and f_k(int B) = 0.
     """
-    _require_even_gap(n, k)
+    _require_even_gap(len(interior), k)
     if interior[k] != 0:
         raise PreconditionError(
             f"identity needs f_{k}(int B) = 0, got {interior[k]}"
         )
-    return -genocchi_identity_residual(k, interior, boundary, n, table)
+    return -genocchi_identity_residual(k, interior, boundary, table)
 
 
 def max_interior_free_dimension(interior: FVector) -> int:
@@ -212,12 +213,10 @@ def verify_ball(
     checks: list[IdentityCheck] = []
     boundary_only: list[IdentityCheck] = []
     for k in range(n % 2, n - 1, 2):
-        residual = genocchi_identity_residual(k, interior, boundary, n, table)
+        residual = genocchi_identity_residual(k, interior, boundary, table)
         checks.append(IdentityCheck("genocchi", k, residual))
         checks.append(
-            IdentityCheck(
-                "dehn-sommerville", k, dehn_sommerville_residual(k, interior, boundary, n)
-            )
+            IdentityCheck("dehn-sommerville", k, dehn_sommerville_residual(k, interior, boundary))
         )
         if k <= e:
             boundary_only.append(IdentityCheck("no-interior-faces", k, -residual))
@@ -225,7 +224,7 @@ def verify_ball(
         IdentityCheck(
             "genocchi",
             n,
-            genocchi_identity_residual(n, interior, boundary, n, table),
+            genocchi_identity_residual(n, interior, boundary, table),
             trivial=True,
         )
     )

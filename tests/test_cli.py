@@ -64,7 +64,7 @@ class TestGenocchiCommand:
             table = cli._METHODS["series"](N)
             values = dict(table.values)
             values[2] += 1
-            return type(table)(table.max_index, values, "bernoulli")
+            return type(table)(values, "bernoulli")
 
         monkeypatch.setitem(cli._METHODS, "bernoulli", broken)
         code, out, _ = run(["genocchi", "2"], capsys)
@@ -534,7 +534,7 @@ class TestVerifyCommand:
         def corrupted(N):
             table = genocchi.genocchi_by_recursion_even(N)
             values = {**table.values, 4: table.values[4] + 1}
-            return genocchi.GenocchiTable(table.max_index, values, "corrupted")
+            return genocchi.GenocchiTable(values, "corrupted")
 
         monkeypatch.setattr(cli, "genocchi_by_recursion_even", corrupted)
         path = tmp_path / "stacked.json"
@@ -678,15 +678,18 @@ def test_usage_error_exit_code(capsys):
 
 
 HUGE = str(10**20)
+# each route allocates its table's list first: 10^20 entries do not fit an
+# index, and 2^61 fail CPython's size check before any allocation
+ROUTES = ["series", "recursion-even", "recursion-odd", "bernoulli"]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["genocchi", HUGE],
-        # a list of this length fails CPython's size check before any allocation
         ["genocchi", str(2**61)],
-        ["genocchi", HUGE, "--method", "series"],
+        *(["genocchi", HUGE, "--method", m] for m in ROUTES),
+        *(["genocchi", str(2**61), "--method", m] for m in ROUTES[1:]),
         ["generate", "simplex", "--n", HUGE, "--out", "{out}"],
         ["generate", "stacked", "--n", HUGE, "--m", "2", "--out", "{out}"],
         ["generate", "cone", "--base", "cross_polytope", "--n", HUGE, "--out", "{out}"],
@@ -696,7 +699,8 @@ HUGE = str(10**20)
     ids=[
         "genocchi",
         "genocchi-memory",
-        "genocchi-series",
+        *(f"genocchi-{m}" for m in ROUTES),
+        *(f"genocchi-{m}-memory" for m in ROUTES[1:]),
         "simplex",
         "stacked",
         "cone",

@@ -92,17 +92,17 @@ class TestFromFacets:
 
 class TestFVectorType:
     def test_out_of_range_reads_zero(self):
-        fv = FVector(3, (3, 3, 1))
+        fv = FVector((3, 3, 1))
         assert fv[-1] == 0
         assert fv[3] == 0
         assert fv[2] == 1
 
     def test_iteration(self):
-        assert tuple(FVector(2, (4, 3))) == (4, 3)
+        assert tuple(FVector((4, 3))) == (4, 3)
 
     def test_euler_characteristic(self):
-        assert FVector(3, (3, 3, 1)).euler_characteristic() == 1
-        assert FVector(3, (6, 12, 8)).euler_characteristic() == 2
+        assert FVector((3, 3, 1)).euler_characteristic() == 1
+        assert FVector((6, 12, 8)).euler_characteristic() == 2
 
 
 class TestFVector:

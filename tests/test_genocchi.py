@@ -281,6 +281,12 @@ class TestBernoulli:
         with pytest.raises(InsufficientTableError):
             bernoulli(4).bernoulli(5)
 
+    def test_too_large_to_allocate_fails_before_any_arithmetic(self):
+        # the tangent table's list is allocated first, and this length does
+        # not fit an index, so nothing runs
+        with pytest.raises(OverflowError):
+            bernoulli(10**20)
+
 
 class TestTangentNumbers:
     def test_oeis_a000182(self):
@@ -361,6 +367,14 @@ class TestTableAccessor:
         with pytest.raises(ValueError):
             table.genocchi(-2)
 
+    def test_bound_is_read_off_the_values(self):
+        # an index missing from ``values`` is an insufficient table, not a KeyError
+        table = GenocchiTable({2: -1}, "x")
+        with pytest.raises(InsufficientTableError, match=r"^table \(x\) covers indices through 2, need 4$"):
+            table.genocchi(4)
+        with pytest.raises(TypeError):
+            GenocchiTable(max_index=10, values={2: -1}, method="x")
+
 
 class TestDumont:
     def test_single_permutation(self):
@@ -438,7 +452,7 @@ def test_integrality_everywhere():
 
 
 def test_tables_are_plain_data():
-    table = GenocchiTable(max_index=4, values={2: -1, 4: 1}, method="series")
+    table = GenocchiTable(values={2: -1, 4: 1}, method="series")
     assert table.genocchi(4) == 1
 
 
@@ -514,7 +528,6 @@ class TestAgainstFractionKernels:
         assert all(v.denominator == 1 for v in expected.values())
         for N in range(1, 81):
             table = route(N)
-            assert table.max_index == 2 * N
             assert all(type(v) is int for v in table.values.values())
             prefix = {i: v for i, v in expected.items() if i <= 2 * N}
             _assert_entrywise(table.values, prefix, f"{route.__name__}({N})")
@@ -525,7 +538,6 @@ class TestAgainstFractionKernels:
         assert all(expected[m] == 0 for m in range(3, 161, 2))
         for M in range(0, 161):
             table = bernoulli(M)
-            assert table.max_index == M
             assert all(type(v) is Fraction for v in table.values.values())
             prefix = {m: v for m, v in expected.items() if m <= M}
             _assert_entrywise(table.values, prefix, f"bernoulli({M})")
