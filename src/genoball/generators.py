@@ -127,9 +127,9 @@ def boundary_sphere(family: str, n: int) -> Complex:
     if family == "simplex":
         return Complex(frozenset(itertools.combinations(range(1, n + 1), n - 1)))
     if family == "cross_polytope":
-        facets = []
-        for signs in itertools.product((0, 1), repeat=n):
-            facets.append(tuple(2 * i + 1 + s for i, s in enumerate(signs)))
+        facets = [()] * (1 << n)  # allocated first: a huge n fails here, not in the loop
+        for index, signs in enumerate(itertools.product((0, 1), repeat=n)):
+            facets[index] = tuple(2 * i + 1 + s for i, s in enumerate(signs))
         return Complex(frozenset(facets))
     raise ValueError(f"unknown sphere family {family!r}")
 

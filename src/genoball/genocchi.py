@@ -19,22 +19,24 @@ combinatorial route for small indices.  Every result is exact and no step
 reduces a fraction.  The Bernoulli route runs Brent and Harvey's integer
 recurrence for the tangent numbers T_n ("Fast computation of Bernoulli,
 Tangent and Secant numbers", arXiv:1108.0286), then divides once per
-value.  The odd recursion works in ``int`` over an lcm that grows with
-the step, and the even recursion halves once per step.  The series keeps
-its quotient over a factorial that grows in blocks of coefficients,
-rescales only that quotient when the factorial grows, and sums each
-long-division step by Horner's rule, with big-by-small products.  Every
-division must leave no remainder, and `_exact_div` raises SelfCheckError
-if one does.  The two recursions read their binomial weights from
-Pascal's triangle, one row at a time (`_binomial_rows`); the series and
-Bernoulli routes use no binomials, and no route calls `binomial` or
-``math.comb``.  The identity residuals use ``fractions.Fraction`` and
-`binomial`.  Every route allocates its table's list in full before any
-arithmetic, so an N too large to allocate fails at once, never runs on.
+value.  The odd recursion works in ``int`` over one common denominator,
+L = lcm(2, 4, ..., 2N), and the even recursion halves once per step.
+Only the series grows its scale: it keeps its quotient over a factorial
+that grows in blocks of coefficients, rescales only that quotient when
+the factorial grows, and sums each long-division step by Horner's rule,
+with big-by-small products.  Every division must leave no remainder, and
+`_exact_div` raises SelfCheckError if one does.  The two recursions read
+their binomial weights from Pascal's triangle, one row at a time
+(`_binomial_rows`); the series and Bernoulli routes use no binomials, and
+no route calls `binomial` or ``math.comb``.  The identity residuals use
+``fractions.Fraction`` and `binomial`.  Every route allocates its table's
+list in full before any arithmetic, so an N too large to allocate fails
+at once, never runs on.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -218,24 +220,22 @@ def genocchi_by_series(N: int) -> GenocchiTable:
     """
     _require_positive(N)
     degree = 2 * N + 1
-    # only num[1] is ever nonzero, but the list is built in full (module docstring)
-    num = [0, 2] + [0] * (degree - 1)
+    Q = [0] * (degree + 1)  # Q[j] = s [t^j], filled by index
     top, s = 0, 1
-    Q: list[int] = []
     for i in range(degree + 1):
         if i > top:
             new_top = min(top + _SERIES_BLOCK, degree)
             d = _falling_products(top, new_top)  # d[k - low] = d_k, k = low..top
             low, top = top, new_top
             s *= d[0]
-            Q = [q * d[0] for q in Q]
-        acc = num[i] * s * s
+            Q[:i] = [q * d[0] for q in Q[:i]]
+        acc = 2 * s * s if i == 1 else 0
         if i:
             H = Q[i - 1]
             for k in range(2, i + 1):
                 H = H * k + Q[i - k]
             acc -= d[i - low] * H
-        Q.append(_exact_div(acc, 2 * s, f"s [t^{i}]"))
+        Q[i] = _exact_div(acc, 2 * s, f"s [t^{i}]")
     D = s
     if Q[1] != D:
         raise SelfCheckError(f"[t^1] of 2t/(e^t+1) must be 1, got {Fraction(Q[1], D)}")
@@ -271,31 +271,21 @@ def genocchi_by_recursion_even(N: int) -> GenocchiTable:
 def genocchi_by_recursion_odd(N: int) -> GenocchiTable:
     """G_2 .. G_{2N} via G_{2n} = -1 - sum_{k=1}^{n-1} C(2n, 2k-1) G_{2k}/(2k).
 
-    Step n sums over the common denominator L = lcm(2, 4, ..., 2n-2)
-    (L = 1 for n = 1): G_{2n} = (-L - sum_k C(2n, 2k-1) W_k) / L with the
-    weighted values W_k = G_{2k} L/(2k).  The W_k stay on the current L:
-    when L grows they are multiplied by the ratio of the new L to the old,
-    then W_{n-1} = G_{2n-2} L/(2n-2) is appended.  The ratio, the new
-    weight's L/(2n-2) and the one division by L per step are checked to
-    be exact; an older W_k is only ever multiplied, so it stays exact.
+    Every step sums over one common denominator L = lcm(2, 4, ..., 2N):
+    G_{2n} = (-L - sum_k C(2n, 2k-1) W_k) / L with the weighted values
+    W_k = G_{2k} L/(2k), and W_n is appended once G_{2n} is known.  The
+    division by L and each weight's L/(2n) are checked to be exact.
     Step n reads C(2n, 2k-1) from row 2n of Pascal's triangle.
     """
     _require_positive(N)
     G = [0] * (N + 1)  # G[k] = G_{2k}; G[0] is never read
-    W: list[int] = []  # W[k-1] = G_{2k} L/(2k) on the current L
-    L = 1
+    L = functools.reduce(math.lcm, range(2, 2 * N + 1, 2), 1)
+    W: list[int] = []  # W[k-1] = G_{2k} L/(2k)
     rows = itertools.islice(_binomial_rows(2 * N), 2, None, 2)
     for n, row in enumerate(rows, start=1):
-        if n > 1:
-            grown = math.lcm(L, 2 * n - 2)
-            if grown != L:
-                ratio = _exact_div(grown, L, f"lcm(2..{2 * n - 2}) / lcm(2..{2 * n - 4})")
-                W = [w * ratio for w in W]
-                L = grown
-            scale = _exact_div(L, 2 * n - 2, f"lcm(2..{2 * n - 2}) / {2 * n - 2}")
-            W.append(G[n - 1] * scale)
         acc = -L - sum(map(operator.mul, row[1 : 2 * n - 1 : 2], W))
         G[n] = _exact_div(acc, L, f"G_{2 * n}")
+        W.append(G[n] * _exact_div(L, 2 * n, f"lcm(2..{2 * N}) / {2 * n}"))
     values = {2 * k: G[k] for k in range(1, N + 1)}
     return GenocchiTable(values=values, method="recursion-odd")
 

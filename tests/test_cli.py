@@ -679,7 +679,9 @@ def test_usage_error_exit_code(capsys):
 
 HUGE = str(10**20)
 # each route allocates its table's list first: 10^20 entries do not fit an
-# index, and 2^61 fail CPython's size check before any allocation
+# index, and 2^61 fail CPython's size check before any allocation.  A
+# cross-polytope sphere allocates its 2^n facets first too: n = 61 and 64
+# fail the same way, while an n from 30 to 60 might really be allocated
 ROUTES = ["series", "recursion-even", "recursion-odd", "bernoulli"]
 
 
@@ -694,7 +696,13 @@ ROUTES = ["series", "recursion-even", "recursion-odd", "bernoulli"]
         ["generate", "stacked", "--n", HUGE, "--m", "2", "--out", "{out}"],
         ["generate", "cone", "--base", "cross_polytope", "--n", HUGE, "--out", "{out}"],
         ["generate", "sphere-minus-facet", "--base", "simplex", "--n", HUGE, "--out", "{out}"],
+        *(
+            ["generate", family, "--base", "cross_polytope", "--n", n, "--out", "{out}"]
+            for family in ["cone", "sphere-minus-facet"]
+            for n in ["61", "64"]
+        ),
         ["verify", "--corpus", "--grid", "{grid}"],
+        ["verify", "--corpus", "--grid", "{sphere_grid}"],
     ],
     ids=[
         "genocchi",
@@ -705,14 +713,24 @@ ROUTES = ["series", "recursion-even", "recursion-odd", "bernoulli"]
         "stacked",
         "cone",
         "sphere-minus-facet",
+        *(
+            f"{family}-cross_polytope-{n}"
+            for family in ["cone", "sphere-minus-facet"]
+            for n in ["61", "64"]
+        ),
         "grid",
+        "grid-sphere",
     ],
 )
 def test_oversized_integer_is_input_error(tmp_path, capsys, argv):
     # too large to index or to allocate: one error line and exit 2, no traceback
     out_path, grid = tmp_path / "u.json", tmp_path / "grid.json"
+    sphere_grid = tmp_path / "sphere_grid.json"
     grid.write_text(f'{{"simplex_n": [{HUGE}]}}')
-    code, out, err = run([arg.format(out=out_path, grid=grid) for arg in argv], capsys)
+    sphere_grid.write_text('{"sphere_n": [64]}')
+    code, out, err = run(
+        [arg.format(out=out_path, grid=grid, sphere_grid=sphere_grid) for arg in argv], capsys
+    )
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

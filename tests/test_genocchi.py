@@ -240,28 +240,16 @@ class TestRecursionOdd:
         assert genocchi_by_recursion_odd(10).values == genocchi_by_series(10).values
 
     def test_weight_division_is_checked(self, monkeypatch):
-        # lcm(1, 2) + 1 = 3 makes the n = 2 weight L / 2 = 3/2
+        # one more than each lcm: L = lcm(lcm(1, 2) + 1, 4) + 1 = 13, so
+        # G_2 = -13/13 divides exactly but the weight L / 2 = 13/2 does not
         fake_math = types.SimpleNamespace(
             factorial=math.factorial, lcm=lambda a, b: math.lcm(a, b) + 1
         )
         monkeypatch.setattr(genocchi, "math", fake_math)
         with pytest.raises(
-            SelfCheckError, match=r"^lcm\(2\.\.2\) / 2 must be an integer, got 3/2$"
+            SelfCheckError, match=r"^lcm\(2\.\.4\) / 2 must be an integer, got 13/2$"
         ):
             genocchi_by_recursion_odd(2)
-
-    def test_lcm_ratio_is_checked(self, monkeypatch):
-        # right at n = 2 (lcm(1, 2) = 2), wrong at n = 3: lcm(2, 4) + 1 = 5
-        # is no multiple of 2, so the weights cannot be rescaled exactly
-        fake_math = types.SimpleNamespace(
-            factorial=math.factorial, lcm=lambda a, b: math.lcm(a, b) + (b == 4)
-        )
-        monkeypatch.setattr(genocchi, "math", fake_math)
-        with pytest.raises(
-            SelfCheckError,
-            match=r"^lcm\(2\.\.4\) / lcm\(2\.\.2\) must be an integer, got 5/2$",
-        ):
-            genocchi_by_recursion_odd(4)
 
 
 class TestBernoulli:
