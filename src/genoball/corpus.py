@@ -114,9 +114,11 @@ def corpus_balls(
     """All corpus balls as (name, complex) pairs, in fixed order.
 
     Each ``FAMILIES`` row gives one ball per element of the product of its
-    grid fields, taken in row order.  The subdivision entries subdivide every earlier ball whose ambient n
-    is at most ``grid.barycentric_max_n``.  ``max_n`` filters the final
-    list by ambient n.
+    grid fields, taken in row order.  ``max_n`` then drops every family
+    ball whose ambient n exceeds it.  The subdivision entries subdivide
+    every remaining ball whose ambient n is at most
+    ``grid.barycentric_max_n``; a subdivision keeps its ball's n, so no
+    ball above ``max_n`` is subdivided only to be dropped.
     """
     balls: list[tuple[str, Complex]] = []
     # the cones and the spheres minus a facet share each (base, n) sphere
@@ -125,12 +127,12 @@ def corpus_balls(
         for values in itertools.product(*[getattr(grid, f) for f in fields.values()]):
             options = dict(zip(fields, values))
             balls.append((name.format_map(options), build(sphere, **options)))
+    if max_n is not None:
+        balls = [(name, ball) for name, ball in balls if ball.n <= max_n]
     subdivided = [
         (BARYCENTRIC_NAME.format(name=name), barycentric_subdivision(ball))
         for name, ball in balls
         if ball.n <= grid.barycentric_max_n
     ]
     balls.extend(subdivided)
-    if max_n is not None:
-        balls = [(name, ball) for name, ball in balls if ball.n <= max_n]
     return balls

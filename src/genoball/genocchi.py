@@ -24,14 +24,16 @@ L = lcm(2, 4, ..., 2N), and the even recursion halves once per step.
 Only the series grows its scale: it keeps its quotient over a factorial
 that grows in blocks of coefficients, rescales only that quotient when
 the factorial grows, and sums each long-division step by Horner's rule,
-with big-by-small products.  Every division must leave no remainder, and
-`_exact_div` raises SelfCheckError if one does.  The two recursions read
-their binomial weights from Pascal's triangle, one row at a time
-(`_binomial_rows`); the series and Bernoulli routes use no binomials, and
-no route calls `binomial` or ``math.comb``.  The identity residuals use
-``fractions.Fraction`` and `binomial`.  Every route allocates its table's
-list in full before any arithmetic, so an N too large to allocate fails
-at once, never runs on.
+with big-by-small products, over the coefficients that can be nonzero
+(t^1 and the even powers; the odd ones past t^1 are checked to vanish).
+Every division must leave no remainder, and `_exact_div` raises
+SelfCheckError if one does.  The two recursions read their binomial
+weights from Pascal's triangle, one row at a time (`_binomial_rows`,
+which adds up only each row's first half and mirrors it); the series
+and Bernoulli routes use no binomials, and no route calls `binomial` or
+``math.comb``.  The identity residuals use ``fractions.Fraction`` and
+`binomial`.  Every route allocates its table's list in full before any
+arithmetic, so an N too large to allocate fails at once, never runs on.
 """
 
 from __future__ import annotations
@@ -99,15 +101,22 @@ def binomial(n: int, k: int) -> int:
 def _binomial_rows(top: int) -> Iterator[list[int]]:
     """Rows 0 .. top of Pascal's triangle: row m is [C(m, 0), ..., C(m, m)].
 
-    Each row is built from the one before by Pascal's rule, so a route that
-    walks the rows in order pays one addition per binomial instead of a
-    fresh C(m, j).  Only the current row is kept.  Requires top >= 0.
+    Only the half row C(m, 0..m//2) is built, from the one before by
+    Pascal's rule; for even m its last entry is C(m, m/2) =
+    2 C(m-1, m/2-1).  Each yielded row is that half followed by its mirror
+    (C(m, j) = C(m, m-j)), so a route that walks the rows in order pays
+    one addition per binomial of the first half instead of a fresh
+    C(m, j).  Only the current half row is kept.  Requires top >= 0.
     """
-    row = [1]
-    yield row
-    for _ in range(top):
-        row = [1, *map(operator.add, row, row[1:]), 1]
-        yield row
+    half = [1]  # C(m, 0), ..., C(m, m // 2)
+    yield [1]
+    for m in range(1, top + 1):
+        if m % 2:
+            half = [1, *map(operator.add, half, half[1:])]
+            yield half + half[::-1]
+        else:
+            half = [1, *map(operator.add, half, half[1:]), 2 * half[-1]]
+            yield half + half[-2::-1]
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -183,12 +192,12 @@ def _falling_products(top: int, new_top: int) -> list[int]:
     return list(falling)[::-1]
 
 
-#: Coefficients per block of the series route's growing scale.  With the
-#: Horner step (medians of interleaved runs, two rounds, Python 3.11, 2-core
-#: VM) blocks of 1 / 4 / 8 / 16 / 32 took 4.6-4.7 / 3.7-3.8 / 3.5-3.6 /
-#: 3.4 / 3.4-3.5 ms at N = 100 and 45-55 / 40-41 / 39 / 39 / 38-39 ms at
-#: N = 250, against 3.8-3.9 and 53-54 ms for the one scale (2N+1)!
-#: throughout.  8 to 32 are within noise of each other at both sizes.
+#: Coefficients per block of the series route's growing scale.  With a
+#: Horner sum over every j (medians of interleaved runs, two rounds, Python
+#: 3.11, 2-core VM) blocks of 1 / 4 / 8 / 16 / 32 took 4.6-4.7 / 3.7-3.8 /
+#: 3.5-3.6 / 3.4 / 3.4-3.5 ms at N = 100 and 45-55 / 40-41 / 39 / 39 /
+#: 38-39 ms at N = 250, against 3.8-3.9 and 53-54 ms for the one scale
+#: (2N+1)! throughout.  8 to 32 are within noise of each other at both sizes.
 _SERIES_BLOCK = 8
 
 
@@ -206,17 +215,23 @@ def genocchi_by_series(N: int) -> GenocchiTable:
 
     Q_j is an integer for every j <= top, because j! [t^j] = G_j is.  The
     sum is evaluated by Horner's rule: since d_{k-1} = k d_k, it equals
-    d_i H_i, where H = Q_{i-1} and then H = H k + Q_{i-k} for k = 2..i.
-    So step i multiplies a big integer by a small one i - 1 times and by
-    another big integer once, and reads no d_k but d_0 and d_i.  The
-    weights are the integers k, not binomials.  When top advances, every
-    stored Q_j is multiplied by the block ratio (top+1)...(new_top), and
-    only the new block's d_k = new_top!/k! are kept; `_falling_products`
-    gives both without a division.  Early steps thus multiply small
+    d_i H_i with H_i = sum_{j<i} Q_j i!/(i-j)!.  Q_0 = 0, and every odd
+    Q_j with j >= 3 is 0 whenever the route returns, so H_i runs over the
+    even j >= 2 only, descending, as H = H (i-j-1)(i-j) + Q_j, and closes
+    with H_i = (H (i-1) + Q_1) i; the terms it skips are exactly 0, so
+    every value equals the full sum's.  So step i multiplies a big
+    integer by a small one about i/2 times and by another big integer
+    once, and reads no d_k but d_0 and d_i.  The weights are integers,
+    not binomials.  When top advances, every stored Q_j is multiplied by
+    the block ratio (top+1)...(new_top), and only the new block's
+    d_k = new_top!/k! are kept; `_falling_products` gives both without a
+    division.  Early steps thus multiply small
     integers, and the last block ends at the full scale D = (2N+1)!.  Then
     G_{2n} = (2n)! Q_{2n} / D.  Both divisions are checked to be exact.
     The odd part of the quotient is checked on the way out: [t^1] must
     equal 1 and every higher odd coefficient through t^{2N+1} must vanish.
+    The odd steps are still solved, since they are that check: if one is
+    not 0, the route raises instead of returning values that skipped it.
     """
     _require_positive(N)
     degree = 2 * N + 1
@@ -231,9 +246,12 @@ def genocchi_by_series(N: int) -> GenocchiTable:
             Q[:i] = [q * d[0] for q in Q[:i]]
         acc = 2 * s * s if i == 1 else 0
         if i:
-            H = Q[i - 1]
-            for k in range(2, i + 1):
-                H = H * k + Q[i - k]
+            # Q_0 = 0 and every odd Q_j past Q_1 is 0 (checked below), so
+            # only even j >= 2 and j = 1 enter; at i = 1, Q[1] is still 0
+            H = 0
+            for j in range((i - 1) & ~1, 1, -2):
+                H = H * ((i - j - 1) * (i - j)) + Q[j]
+            H = (H * (i - 1) + Q[1]) * i
             acc -= d[i - low] * H
         Q[i] = _exact_div(acc, 2 * s, f"s [t^{i}]")
     D = s

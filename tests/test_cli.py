@@ -405,6 +405,27 @@ class TestVerifyCommand:
         # one ambient-n<=2 ball
         assert "verified 8 balls" in out
 
+    def test_max_n_bounds_the_subdivisions(self, tmp_path, capsys, monkeypatch):
+        # a subdivision keeps its ball's n, so --max-n 3 subdivides no ball
+        # above n = 3 however high barycentric_max_n is (sd of the n = 10
+        # simplex alone would be 10! chains)
+        def run_grid(barycentric_max_n):
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({"barycentric_max_n": barycentric_max_n}))
+            return run(["verify", "--corpus", "--grid", str(grid), "--max-n", "3"], capsys)
+
+        expected = run_grid(3)
+        original = corpus.barycentric_subdivision
+
+        def bounded(ball):
+            assert ball.n <= 3, f"subdivided a ball with n = {ball.n}"
+            return original(ball)
+
+        monkeypatch.setattr(corpus, "barycentric_subdivision", bounded)
+        code, out, err = run_grid(100)
+        assert code == 0 and err == ""
+        assert (code, out, err) == expected
+
     def test_grid_with_empty_fields(self, tmp_path, capsys):
         # a family with an empty field has no balls; the others keep theirs
         grid = tmp_path / "grid.json"
