@@ -80,7 +80,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         ball = barycentric_subdivision(source)
         name = BARYCENTRIC_NAME.format(name=source_name) if source_name else "sd"
     else:
-        fields, build, name = FAMILIES[args.family]
+        fields, build, name, _ = FAMILIES[args.family]
         options = {option: getattr(args, option) for option in fields}
         ball = build(boundary_sphere, **options)
         name = name.format_map(options)
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a generated ball to a facet file")
     families = p.add_subparsers(dest="family", required=True)
-    rows = [(family, fields) for family, (fields, _, _) in FAMILIES.items()]
+    rows = [(family, fields) for family, (fields, *_) in FAMILIES.items()]
     for family, options in [*rows, ("barycentric", ["in"])]:
         q = families.add_parser(family)
         for option in options:

@@ -134,21 +134,16 @@ class BallCheckReport(
         return _screen_failures(self, closed=False)
 
 
-class Census(
-    namedtuple("Census", "f f_boundary f_interior report boundary_ridges ridge_overflow")
-):
-    """One pass over a complex: its f-vectors and its ball screen.
+class Census(namedtuple("Census", "f f_boundary f_interior report")):
+    """One pass over a complex: its f-vectors and its ball screen, counts only.
 
     ``f``, ``f_boundary`` and ``f_interior`` are f-vectors, with
     ``f_interior`` = f - f_boundary componentwise, and ``report`` is the
-    ball screen.  ``boundary_ridges`` is the frozenset of ridges in
-    exactly one facet; for n = 1 the only ridge is the empty face, and
+    ball screen.  For n = 1 the only ridge is the empty face, and
     ``f_boundary`` is empty, since the boundary of a point has no faces.
-    Each f-vector is counted by expansion or by a shelling; no boundary
-    complex is built.
-    ``ridge_overflow`` is, of the ridges in three or more facets, the one
-    seen first in the ridge pass, with its full facet count, or None.  The
-    f-vectors describe a ball only when ``report.ok``.
+    Each f-vector is counted by expansion or by a shelling; no face set
+    is kept and no boundary complex is built.  The f-vectors describe a
+    ball only when ``report.ok``.
     """
 
     __slots__ = ()
@@ -225,28 +220,23 @@ class Complex:
         n = self.n
         facets = list(self.facets)
         first, partner = _ridge_pass(facets, n)
-        boundary_ridges = frozenset(
-            itertools.compress(first, [partner[k] < 0 for k in first.values()])
-        )
-        overflow = None if _no_ridge_in_three(first, partner) else _first_overflow(first, partner)
+        boundary = _boundary_ridges(first, partner)
         f, shelled = _face_counts(facets, n, (first, partner))
         # a shelling crosses only shared ridges, so reaching every facet connects them
         connected = shelled or _connected(partner, n, len(facets))
-        f_bd = _face_counts(list(boundary_ridges), n - 1)[0]
+        f_bd = _face_counts(boundary, n - 1)[0]
         return Census(
             f=f,
             f_boundary=f_bd,
             f_interior=FVector(f[d] - f_bd[d] for d in range(n)),
             report=BallCheckReport(
                 n=n,
-                ridge_incidence_ok=overflow is None,
-                has_boundary=bool(boundary_ridges),
+                ridge_incidence_ok=_no_ridge_in_three(first, partner),
+                has_boundary=bool(boundary),
                 dual_graph_connected=connected,
                 euler_char_ball=f.euler_characteristic(),
                 euler_char_boundary=f_bd.euler_characteristic(),
             ),
-            boundary_ridges=boundary_ridges,
-            ridge_overflow=overflow,
         )
 
     def boundary(self) -> "Complex":
@@ -254,10 +244,11 @@ class Complex:
 
         For a ball this is its boundary sphere.  Raises RidgeOverflowError
         if some ridge lies in three or more facets, NoBoundaryError if
-        every ridge lies in exactly two.  The complex is built anew from
-        the census's boundary ridges on every call.
+        every ridge lies in exactly two.  The census keeps no ridges, so
+        each call builds the complex anew from a ridge pass of its own.
         """
-        return Complex(self._census_with_boundary().boundary_ridges)
+        self._census_with_boundary()
+        return Complex(frozenset(_boundary_ridges(*_ridge_pass(list(self.facets), self.n))))
 
     def interior_f_vector(self) -> FVector:
         """f(B) - f(boundary B) componentwise.
@@ -273,10 +264,11 @@ class Complex:
         if self.n < 2:
             raise ComplexError("boundary needs facets with at least 2 vertices")
         census = self.census()
-        if census.ridge_overflow is not None:
-            ridge, count = census.ridge_overflow
+        if not census.report.ridge_incidence_ok:
+            # the census's facet order again, so the same ridge is named first
+            ridge, count = _first_overflow(*_ridge_pass(list(self.facets), self.n))
             raise RidgeOverflowError(f"ridge {ridge} lies in {count} facets")
-        if not census.boundary_ridges:
+        if not census.report.has_boundary:
             raise NoBoundaryError("every ridge is interior")
         return census
 
@@ -312,6 +304,11 @@ def _ridge_pass(facets: list[Face], n: int) -> tuple[dict[Face, int], list[int]]
                 partner[j] = k
             k += 1
     return first, partner
+
+
+def _boundary_ridges(first: dict[Face, int], partner: list[int]) -> list[Face]:
+    """The ridges in exactly one facet, in the order the ridge pass saw them."""
+    return list(itertools.compress(first, [partner[k] < 0 for k in first.values()]))
 
 
 def _no_ridge_in_three(first: dict[Face, int], partner: list[int]) -> bool:

@@ -28,28 +28,43 @@ __all__ = [
     "BARYCENTRIC_NAME", "FAMILIES", "CorpusGrid", "DEFAULT_GRID", "grid_from_json", "corpus_balls"
 ]
 
+
+def _sphere_facet_size(base: str, n: int) -> int:
+    """Vertices per facet of ``boundary_sphere(base, n)``, without building it."""
+    return n - 1 if base == "simplex" else n
+
+
 # generate family -> (each option it reads -> the CorpusGrid field of its
 # values, in loop order; its builder from a sphere maker and the options;
-# its ball name), in corpus order.  A generated file carries the name that
-# the corpus gives the same ball.  The builders look the generators up in
-# this module when they run, so a generator replaced here (as the
-# benchmark's tracer does) is the one both `generate` and the corpus call.
+# its ball name; its ball's n from the options), in corpus order.  A
+# generated file carries the name that the corpus gives the same ball.  The
+# builders look the generators up in this module when they run, so a
+# generator replaced here (as the benchmark's tracer does) is the one both
+# `generate` and the corpus call.
 FAMILIES = {
-    "simplex": ({"n": "simplex_n"}, lambda sphere, n: simplex_ball(n), "simplex-n{n}"),
+    "simplex": (
+        {"n": "simplex_n"},
+        lambda sphere, n: simplex_ball(n),
+        "simplex-n{n}",
+        lambda n: n,
+    ),
     "stacked": (
         {"n": "stacked_n", "m": "stacked_m", "seed": "stacked_seeds"},
         lambda sphere, n, m, seed: stacked_ball(n, m, seed),
         "stacked-n{n}-m{m}-s{seed}",
+        lambda n, m, seed: n,
     ),
     "cone": (
         {"base": "sphere_bases", "n": "sphere_n"},
         lambda sphere, base, n: cone_over_boundary(sphere(base, n)),
         "cone-{base}-n{n}",
+        lambda base, n: _sphere_facet_size(base, n) + 1,
     ),
     "sphere-minus-facet": (
         {"base": "sphere_bases", "n": "sphere_n"},
         lambda sphere, base, n: sphere_minus_facet(sphere(base, n)),
         "minus-facet-{base}-n{n}",
+        _sphere_facet_size,
     ),
 }
 # barycentric subdivides a ball that exists: a file, or an earlier corpus ball
@@ -114,21 +129,19 @@ def corpus_balls(
     """All corpus balls as (name, complex) pairs, in fixed order.
 
     Each ``FAMILIES`` row gives one ball per element of the product of its
-    grid fields, taken in row order.  ``max_n`` then drops every family
-    ball whose ambient n exceeds it.  The subdivision entries subdivide
-    every remaining ball whose ambient n is at most
-    ``grid.barycentric_max_n``; a subdivision keeps its ball's n, so no
-    ball above ``max_n`` is subdivided only to be dropped.
+    grid fields, taken in row order, but none whose ambient n, read off
+    its options, exceeds ``max_n``: such a ball is never built.  The
+    subdivision entries subdivide every built ball whose ambient n is at
+    most ``grid.barycentric_max_n``; a subdivision keeps its ball's n.
     """
     balls: list[tuple[str, Complex]] = []
     # the cones and the spheres minus a facet share each (base, n) sphere
     sphere = functools.cache(boundary_sphere)
-    for fields, build, name in FAMILIES.values():
+    for fields, build, name, ball_n in FAMILIES.values():
         for values in itertools.product(*[getattr(grid, f) for f in fields.values()]):
             options = dict(zip(fields, values))
-            balls.append((name.format_map(options), build(sphere, **options)))
-    if max_n is not None:
-        balls = [(name, ball) for name, ball in balls if ball.n <= max_n]
+            if max_n is None or ball_n(**options) <= max_n:
+                balls.append((name.format_map(options), build(sphere, **options)))
     subdivided = [
         (BARYCENTRIC_NAME.format(name=name), barycentric_subdivision(ball))
         for name, ball in balls

@@ -1,4 +1,4 @@
-"""Exact Genocchi and Bernoulli numbers, computed by independent routes.
+"""Exact Genocchi numbers, computed by independent routes.
 
 The signed Genocchi numbers G_2, G_4, G_6, ... = -1, 1, -3, 17, -155, 2073,
 ... (OEIS A001469) are the even-index coefficients of the exponential
@@ -10,9 +10,8 @@ generating function 2t/(e^t + 1).  Four constructions are provided:
   G_{2n} = -n - (1/2) * sum_{k<n} C(2n, 2k) G_{2k};
 * ``genocchi_by_recursion_odd`` -- the recursion
   G_{2n} = -1 - sum_{k<n} C(2n, 2k-1) G_{2k}/(2k);
-* ``genocchi_by_bernoulli`` -- the scaling G_{2n} = 2(1 - 2^{2n}) B_{2n} of
-  the Bernoulli numbers (B_1 = -1/2 convention), with B_{2n} read off the
-  tangent numbers.
+* ``genocchi_by_bernoulli`` -- the scaling G_{2n} = 2(1 - 4^n) B_{2n} of
+  the Bernoulli numbers, read off the tangent numbers.
 
 The four tables must agree entry by entry; `dumont_count` adds a fifth,
 combinatorial route for small indices.  Every result is exact and no step
@@ -52,12 +51,10 @@ __all__ = [
     "SelfCheckError",
     "InsufficientTableError",
     "GenocchiTable",
-    "BernoulliTable",
     "binomial",
     "genocchi_by_series",
     "genocchi_by_recursion_even",
     "genocchi_by_recursion_odd",
-    "bernoulli",
     "genocchi_by_bernoulli",
     "dumont_count",
     "ratio_identity_residual",
@@ -159,23 +156,6 @@ class GenocchiTable(namedtuple("GenocchiTable", "values method")):
             ) from None
 
 
-class BernoulliTable(namedtuple("BernoulliTable", "values")):
-    """Bernoulli numbers B_0, B_1, ... under the B_1 = -1/2 convention.
-
-    ``values`` maps each index to its Fraction B_index.
-    """
-
-    __slots__ = ()
-
-    def bernoulli(self, index: int) -> Fraction:
-        try:
-            return self.values[index]
-        except KeyError:
-            raise InsufficientTableError(
-                f"table covers indices 0..{max(self.values, default=-1)}, need {index}"
-            ) from None
-
-
 def _require_positive(N: int) -> None:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -192,12 +172,13 @@ def _falling_products(top: int, new_top: int) -> list[int]:
     return list(falling)[::-1]
 
 
-#: Coefficients per block of the series route's growing scale.  With a
-#: Horner sum over every j (medians of interleaved runs, two rounds, Python
-#: 3.11, 2-core VM) blocks of 1 / 4 / 8 / 16 / 32 took 4.6-4.7 / 3.7-3.8 /
-#: 3.5-3.6 / 3.4 / 3.4-3.5 ms at N = 100 and 45-55 / 40-41 / 39 / 39 /
-#: 38-39 ms at N = 250, against 3.8-3.9 and 53-54 ms for the one scale
-#: (2N+1)! throughout.  8 to 32 are within noise of each other at both sizes.
+#: Coefficients per block of the series route's growing scale.  With the
+#: Horner sum over t^1 and the even coefficients (medians of interleaved
+#: runs, two rounds, Python 3.11, 2-core VM) blocks of 1 / 4 / 8 / 16 / 32
+#: took 4.8-6.3 / 3.6-4.5 / 3.3-3.9 / 3.2-4.4 / 3.2-4.1 ms at N = 100 and
+#: 43-47 / 35-40 / 33-34 / 33-34 / 32-33 ms at N = 250, against 3.5-4.7 and
+#: 45-46 ms for the one scale (2N+1)! throughout.  8 to 32 are within noise
+#: of each other at both sizes.
 _SERIES_BLOCK = 8
 
 
@@ -324,30 +305,13 @@ def _tangent_numbers(N: int) -> list[int]:
     return T
 
 
-def bernoulli(M: int) -> BernoulliTable:
-    """B_0 .. B_M under the B_1 = -1/2 convention, from the tangent numbers.
-
-    B_0 = 1, B_1 = -1/2, B_m = 0 for odd m >= 3, and
-    B_{2n} = (-1)^{n-1} 2n T_n / (4^n (4^n - 1)), as reduced Fractions.
-    """
-    if M < 0:
-        raise ValueError(f"M must be >= 0, got {M}")
-    T = _tangent_numbers(M // 2)
-    values = {m: Fraction(0) for m in range(M + 1)}
-    values[0] = Fraction(1)
-    if M >= 1:
-        values[1] = Fraction(-1, 2)
-    for n in range(1, M // 2 + 1):
-        values[2 * n] = Fraction((-1) ** (n - 1) * 2 * n * T[n], 4**n * (4**n - 1))
-    return BernoulliTable(values=values)
-
-
 def genocchi_by_bernoulli(N: int) -> GenocchiTable:
-    """G_2 .. G_{2N} via G_{2n} = 2 (1 - 2^{2n}) B_{2n}.
+    """G_2 .. G_{2N} via G_{2n} = 2 (1 - 4^n) B_{2n} = (-1)^n n T_n / 4^{n-1}.
 
-    With B_{2n} from the tangent numbers T_n (see `bernoulli`) the scaling
-    becomes G_{2n} = (-1)^n n T_n / 4^{n-1}, one division per value,
-    checked to be exact.
+    The Bernoulli numbers (B_1 = -1/2 convention) are B_{2n} =
+    (-1)^{n-1} 2n T_n / (4^n (4^n - 1)) in the tangent numbers T_n, so
+    the scaling reads G_{2n} off T_n with one division per value, checked
+    to be exact; no B_{2n} is formed.
     """
     _require_positive(N)
     T = _tangent_numbers(N)

@@ -426,6 +426,29 @@ class TestVerifyCommand:
         assert code == 0 and err == ""
         assert (code, out, err) == expected
 
+    def test_max_n_builds_no_family_ball_above_it(self, tmp_path, capsys, monkeypatch):
+        # each family ball's n is read off its options, so --max-n 3 builds
+        # no ball above n = 3: not the n = 16 spheres, whose cross-polytope
+        # alone has 2^16 facets, nor the larger simplices and stacked balls
+        def run_grid(sphere_n):
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({"sphere_n": sphere_n}))
+            return run(["verify", "--corpus", "--grid", str(grid), "--max-n", "3"], capsys)
+
+        expected = run_grid([3])
+        for builder in ("boundary_sphere", "simplex_ball", "stacked_ball"):
+            original = getattr(corpus, builder)
+
+            def bounded(*args, original=original, builder=builder):
+                n = args[1] if builder == "boundary_sphere" else args[0]
+                assert n <= 3, f"{builder} built a ball with n = {n}"
+                return original(*args)
+
+            monkeypatch.setattr(corpus, builder, bounded)
+        code, out, err = run_grid([3, 16])
+        assert code == 0 and err == ""
+        assert (code, out, err) == expected
+
     def test_grid_with_empty_fields(self, tmp_path, capsys):
         # a family with an empty field has no balls; the others keep theirs
         grid = tmp_path / "grid.json"

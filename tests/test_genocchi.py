@@ -1,4 +1,4 @@
-"""Number-theory core: four Genocchi algorithms, Bernoulli, Dumont, identities.
+"""Number-theory core: four Genocchi algorithms, tangent numbers, Dumont, identities.
 
 Expected values were frozen from the series expansion of 2t/(e^t + 1)
 (the definitional oracle) before anything else was built, and cross-checked
@@ -23,7 +23,6 @@ from genoball.genocchi import (
     _exact_div,
     _falling_products,
     _tangent_numbers,
-    bernoulli,
     binomial,
     dumont_count,
     genocchi_by_bernoulli,
@@ -250,30 +249,6 @@ class TestRecursionOdd:
             SelfCheckError, match=r"^lcm\(2\.\.4\) / 2 must be an integer, got 13/2$"
         ):
             genocchi_by_recursion_odd(2)
-
-
-class TestBernoulli:
-    def test_convention(self):
-        table = bernoulli(1)
-        assert table.values[0] == 1
-        assert table.values[1] == Fraction(-1, 2)
-
-    def test_b2(self):
-        assert bernoulli(2).values[2] == Fraction(1, 6)
-
-    def test_odd_vanish(self):
-        table = bernoulli(21)
-        assert all(table.values[m] == 0 for m in range(3, 22, 2))
-
-    def test_out_of_range_lookup(self):
-        with pytest.raises(InsufficientTableError):
-            bernoulli(4).bernoulli(5)
-
-    def test_too_large_to_allocate_fails_before_any_arithmetic(self):
-        # the tangent table's list is allocated first, and this length does
-        # not fit an index, so nothing runs
-        with pytest.raises(OverflowError):
-            bernoulli(10**20)
 
 
 class TestTangentNumbers:
@@ -520,16 +495,6 @@ class TestAgainstFractionKernels:
             prefix = {i: v for i, v in expected.items() if i <= 2 * N}
             _assert_entrywise(table.values, prefix, f"{route.__name__}({N})")
 
-    def test_bernoulli_matches_fraction_convolution_through_m160(self):
-        expected = _ref_bernoulli(160)
-        assert expected[1] == Fraction(-1, 2)
-        assert all(expected[m] == 0 for m in range(3, 161, 2))
-        for M in range(0, 161):
-            table = bernoulli(M)
-            assert all(type(v) is Fraction for v in table.values.values())
-            prefix = {m: v for m, v in expected.items() if m <= M}
-            _assert_entrywise(table.values, prefix, f"bernoulli({M})")
-
 
 class TestExactDivision:
     def test_exact_quotient(self):
@@ -546,15 +511,15 @@ class TestExactDivision:
         "shift", [lambda n, k: (n + 1, k), lambda n, k: (n, k + 1)], ids=["n+1", "k+1"]
     )
     def test_wrong_binomial_is_caught(self, monkeypatch, shift):
-        expected_bernoulli = bernoulli(12).values
+        expected = genocchi_by_bernoulli(6).values
         monkeypatch.setattr(
             genocchi, "_binomial_rows", _rows_from(lambda n, k: math.comb(*shift(n, k)))
         )
         with pytest.raises(SelfCheckError, match="must be an integer"):
             genocchi_by_recursion_odd(6)
-        # the Bernoulli numbers come from the tangent numbers and read no
-        # binomials, so the wrong weights leave them unchanged
-        assert bernoulli(12).values == expected_bernoulli
+        # the Bernoulli route reads the tangent numbers and no binomials, so
+        # the wrong weights leave its values unchanged
+        assert genocchi_by_bernoulli(6).values == expected
 
     def test_wrong_series_coefficient_trips_odd_check(self, monkeypatch):
         # d_2 = s/2! replaced by 3 s/2! where the first block computes it.

@@ -13,7 +13,7 @@ import pytest
 
 from genoball.complexes import BallCheckReport, Census, FVector
 from genoball.corpus import DEFAULT_GRID, CorpusGrid, grid_from_json
-from genoball.genocchi import BernoulliTable, GenocchiTable
+from genoball.genocchi import GenocchiTable
 from genoball.verify import IdentityCheck, VerificationReport
 
 _REPORT = dict(
@@ -29,8 +29,6 @@ _CENSUS = dict(
     f_boundary=FVector((2,)),
     f_interior=FVector((0, 1)),
     report=BallCheckReport(**_REPORT),
-    boundary_ridges=frozenset({(1,)}),
-    ridge_overflow=None,
 )
 _CHECK = dict(identity="genocchi", k=0, residual=Fraction(1, 2), trivial=False)
 _GRID = dict(
@@ -67,10 +65,9 @@ RECORDS = [
         "Census(f=FVector((2, 1)), f_boundary=FVector((2,)), "
         "f_interior=FVector((0, 1)), report=BallCheckReport(n=2, "
         "ridge_incidence_ok=True, has_boundary=True, dual_graph_connected=True, "
-        "euler_char_ball=1, euler_char_boundary=2), boundary_ridges=frozenset({(1,)}), "
-        "ridge_overflow=None)",
-        "ridge_overflow",
-        ((1,), 3),
+        "euler_char_ball=1, euler_char_boundary=2))",
+        "f_interior",
+        FVector((0, 2)),
     ),
     (
         GenocchiTable,
@@ -78,13 +75,6 @@ RECORDS = [
         "GenocchiTable(values={2: -1, 4: 1}, method='series')",
         "method",
         "bernoulli",
-    ),
-    (
-        BernoulliTable,
-        dict(values={0: Fraction(1), 1: Fraction(-1, 2)}),
-        "BernoulliTable(values={0: Fraction(1, 1), 1: Fraction(-1, 2)})",
-        "values",
-        {0: Fraction(1)},
     ),
     (
         IdentityCheck,
