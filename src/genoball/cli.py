@@ -34,7 +34,6 @@ from .genocchi import (
 from .verify import (
     BallCheckError,
     VerificationReport,
-    format_residual,
     required_table_size,
     verify_ball,
 )
@@ -114,7 +113,7 @@ def _print_report(report: VerificationReport) -> None:
         suffix = " (trivial)" if check.trivial else ""
         print(
             f"  {check.identity:<18} k={check.k:<3} "
-            f"residual={format_residual(check.residual)} {status}{suffix}"
+            f"residual={check.residual} {status}{suffix}"
         )
 
 

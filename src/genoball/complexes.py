@@ -276,10 +276,6 @@ class Complex:
         """The necessary-condition screen, read from the census.  Never raises."""
         return self.census().report
 
-    def relabeled(self, mapping: dict[int, int]) -> "Complex":
-        """The same complex with vertex ids replaced through ``mapping``."""
-        return from_facets([[mapping[v] for v in f] for f in self.facets])
-
 
 def _ridge_pass(facets: list[Face], n: int) -> tuple[dict[Face, int], list[int]]:
     """Which facets share each ridge, in one flat array; one dict operation per ridge.

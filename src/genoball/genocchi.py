@@ -30,8 +30,8 @@ SelfCheckError if one does.  The two recursions read their binomial
 weights from Pascal's triangle, one row at a time (`_binomial_rows`,
 which adds up only each row's first half and mirrors it); the series
 and Bernoulli routes use no binomials, and no route calls `binomial` or
-``math.comb``.  The identity residuals use ``fractions.Fraction`` and
-`binomial`.  Every route allocates its table's list in full before any
+``math.comb``.  `ratio_identity_residual` uses ``fractions.Fraction``
+and `binomial`.  Every route allocates its table's list in full before any
 arithmetic, so an N too large to allocate fails at once, never runs on.
 """
 
@@ -58,7 +58,6 @@ __all__ = [
     "genocchi_by_bernoulli",
     "dumont_count",
     "ratio_identity_residual",
-    "reciprocal_identity_residual",
 ]
 
 #: The only nonzero odd-index Genocchi number: 2t/(e^t+1) = t + even terms.
@@ -348,7 +347,9 @@ def ratio_identity_residual(n: int, table: GenocchiTable) -> Fraction:
 
     Returns ((2n-1)/n) G_{2n}
             + (1/2) sum_{k=1}^{n-1} C(2n-1, 2k-1) ((2k-1)/k) G_{2k},
-    which is exactly zero for every n >= 2.
+    which is exactly zero for every n >= 2.  Term by term, on any table,
+    it is (2n-1) times a_m + (1/2) sum_{j<m} C(2m, 2j) a_j at m = n-1, with
+    a_j = G_{2j+2}/(j+1): a coefficient identity of 2/(e^t + 1).
     """
     if n < 2:
         raise ValueError(f"identity requires n >= 2, got {n}")
@@ -359,17 +360,3 @@ def ratio_identity_residual(n: int, table: GenocchiTable) -> Fraction:
             binomial(2 * n - 1, 2 * k - 1) * (2 * k - 1) * table.genocchi(2 * k), k
         )
     return lead + acc / 2
-
-
-def reciprocal_identity_residual(n: int, table: GenocchiTable) -> Fraction:
-    """Residual of the reciprocal-weight identity among Genocchi numbers.
-
-    Returns 1 + sum_{k=1}^{n-1} C(2n-2, 2k-1) G_{2k}/(2k), which is exactly
-    zero for every n >= 2.
-    """
-    if n < 2:
-        raise ValueError(f"identity requires n >= 2, got {n}")
-    acc = Fraction(1)
-    for k in range(1, n):
-        acc += Fraction(binomial(2 * n - 2, 2 * k - 1) * table.genocchi(2 * k), 2 * k)
-    return acc

@@ -44,7 +44,6 @@ __all__ = [
     "max_interior_free_dimension",
     "required_table_size",
     "verify_ball",
-    "format_residual",
 ]
 
 
@@ -184,11 +183,6 @@ class VerificationReport(
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def format_residual(value: Fraction) -> str:
-    """Canonical text form: "0", or "p/q" with q > 0 and gcd(p, q) = 1."""
-    return str(value)
 
 
 def verify_ball(

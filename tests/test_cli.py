@@ -6,9 +6,11 @@ mismatch (a failed self-check included), 2 = input/usage error.
 
 import contextlib
 import importlib
+import importlib.util
 import io
 import json
 import math
+import operator
 import re
 import subprocess
 import sys
@@ -1001,3 +1003,30 @@ def test_package_re_exports_every_module_all_once():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(names)
+
+
+def test_benchmark_tracer_restores_every_name_it_wraps():
+    # perfbench/tracing.py looks each name up with no default, so deleting
+    # or renaming one of them breaks the benchmark's traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    Complex = genoball.complexes.Complex
+
+    def traced_names():
+        functions = [
+            getattr(sys.modules[f"genoball.{module}"], attr)
+            for module, attr, *_ in tracing.FUNCTIONS
+        ]
+        methods = [vars(Complex)[method] for method, *_ in tracing.METHODS]
+        return functions + methods + [vars(Complex)["faces"], cli._METHODS["series"]]
+
+    originals = traced_names()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert all(map(operator.is_not, traced_names(), originals))
+    finally:
+        tracer.uninstall()
+    assert all(map(operator.is_, traced_names(), originals))

@@ -10,6 +10,8 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genoball import genocchi
 from genoball.genocchi import (
@@ -30,7 +32,6 @@ from genoball.genocchi import (
     genocchi_by_recursion_odd,
     genocchi_by_series,
     ratio_identity_residual,
-    reciprocal_identity_residual,
 )
 
 # Frozen from the series oracle: G_2, G_4, ..., G_12.
@@ -386,25 +387,17 @@ class TestRatioIdentity:
         with pytest.raises(InsufficientTableError):
             ratio_identity_residual(5, table)
 
-
-class TestReciprocalIdentity:
-    def test_n2_by_hand(self):
-        # 1 + C(2,1)*(-1)/2 = 0
-        table = genocchi_by_series(2)
-        assert reciprocal_identity_residual(2, table) == 0
-
-    def test_n3_by_hand(self):
-        # 1 + C(4,1)*(-1)/2 + C(4,3)*1/4 = 1 - 2 + 1 = 0
-        table = genocchi_by_series(3)
-        assert reciprocal_identity_residual(3, table) == 0
-
-    def test_n40_exact_zero(self):
-        table = genocchi_by_recursion_even(39)
-        assert reciprocal_identity_residual(40, table) == 0
-
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            reciprocal_identity_residual(1, genocchi_by_series(2))
+    @given(st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=30))
+    def test_is_the_even_coefficient_identity_scaled(self, entries):
+        # on any table, not only on Genocchi numbers: (2n-1) times
+        # a_m + (1/2) sum_{j<m} C(2m, 2j) a_j at m = n-1, a_j = G_{2j+2}/(j+1)
+        n = len(entries)
+        G = {2 * k: g for k, g in enumerate(entries, start=1)}
+        table = GenocchiTable(values=G, method="random")
+        even = Fraction(G[2 * n], n) + Fraction(1, 2) * sum(
+            Fraction(math.comb(2 * n - 2, 2 * k - 2) * G[2 * k], k) for k in range(1, n)
+        )
+        assert ratio_identity_residual(n, table) == (2 * n - 1) * even
 
 
 def test_integrality_everywhere():

@@ -28,13 +28,14 @@ from genoball.verify import (
     ParityError,
     PreconditionError,
     dehn_sommerville_residual,
-    format_residual,
     genocchi_identity_residual,
     max_interior_free_dimension,
     no_interior_faces_residual,
     required_table_size,
     verify_ball,
 )
+
+from helpers import relabel
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +258,7 @@ class TestVerifyBall:
         vertices = list(ball.vertices)
         shuffled = vertices[:]
         rng.shuffle(shuffled)
-        copy = ball.relabeled(dict(zip(vertices, shuffled)))
+        copy = relabel(ball, dict(zip(vertices, shuffled)))
         original = verify_ball(ball, table)
         permuted = verify_ball(copy, table)
         assert [(c.identity, c.k, c.residual) for c in original.checks] == [
@@ -442,14 +443,3 @@ class TestRequiredTableSize:
         assert required_table_size(2) == 1
         assert required_table_size(3) == 1
         assert required_table_size(10) == 5
-
-
-class TestFormatResidual:
-    def test_zero(self):
-        assert format_residual(Fraction(0)) == "0"
-
-    def test_fraction(self):
-        assert format_residual(Fraction(-3, 4)) == "-3/4"
-
-    def test_integer(self):
-        assert format_residual(Fraction(5)) == "5"
