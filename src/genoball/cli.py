@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterable, Iterator
 
 from .complexes import FVector
 from .corpus import BARYCENTRIC_NAME, DEFAULT_GRID, FAMILIES, corpus_balls, grid_from_json
@@ -51,17 +52,44 @@ def _cmd_genocchi(args: argparse.Namespace) -> int:
     N = args.N
     if args.method == "all":
         tables = [fn(N).values for fn in _METHODS.values()]
-        print("index  " + "  ".join(f"{name:>16}" for name in _METHODS))
-        for n in range(1, N + 1):
-            row = "  ".join(f"{values[2 * n]:>16}" for values in tables)
-            print(f"{2 * n:>5}  {row}")
         agree = all(values == tables[0] for values in tables)
-        print("cross-check: OK" if agree else "cross-check: MISMATCH")
+        _write_lines(_cross_check_lines(N, tables, agree))
         return 0 if agree else 1
-    table = _METHODS[args.method](N)
-    for n in range(1, N + 1):
-        print(f"{2 * n} {table.values[2 * n]}")
+    values = _METHODS[args.method](N).values
+    _write_lines(f"{2 * n} {values[2 * n]}" for n in range(1, N + 1))
     return 0
+
+
+def _cross_check_lines(N: int, tables: list[dict[int, int]], agree: bool) -> Iterator[str]:
+    """The `genocchi --method all` table: each row's value is converted once
+    when the routes agree on it, and each cell on its own when they do not."""
+    yield "index  " + "  ".join(f"{name:>16}" for name in _METHODS)
+    for n in range(1, N + 1):
+        row = [values[2 * n] for values in tables]
+        if row.count(row[0]) == len(row):
+            cells = "  ".join([f"{row[0]:>16}"] * len(row))
+        else:
+            cells = "  ".join(f"{value:>16}" for value in row)
+        yield f"{2 * n:>5}  {cells}"
+    yield "cross-check: OK" if agree else "cross-check: MISMATCH"
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write the lines to stdout in one call.
+
+    The lines are formed, and their ints converted, while CPython's limit on
+    int-to-str digits (4300 by default) is lifted, so a value of any length
+    prints; the limit is restored before the write.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:  # 0: no limit, or none to lift
+        sys.set_int_max_str_digits(0)
+    try:
+        text = "\n".join(lines)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    sys.stdout.write(text + "\n")
 
 
 _OPTIONS = {

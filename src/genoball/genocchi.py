@@ -28,7 +28,7 @@ with big-by-small products, over the coefficients that can be nonzero
 Every division must leave no remainder, and `_exact_div` raises
 SelfCheckError if one does.  The two recursions read their binomial
 weights from Pascal's triangle, one row at a time (`_binomial_rows`,
-which adds up only each row's first half and mirrors it); the series
+which builds and yields only each row's first half); the series
 and Bernoulli routes use no binomials, and no route calls `binomial` or
 ``math.comb``.  `ratio_identity_residual` uses ``fractions.Fraction``
 and `binomial`.  Every route allocates its table's list in full before any
@@ -95,24 +95,23 @@ def binomial(n: int, k: int) -> int:
 
 
 def _binomial_rows(top: int) -> Iterator[list[int]]:
-    """Rows 0 .. top of Pascal's triangle: row m is [C(m, 0), ..., C(m, m)].
+    """Half rows 0 .. top of Pascal's triangle: row m is [C(m, 0), ..., C(m, m//2)].
 
-    Only the half row C(m, 0..m//2) is built, from the one before by
-    Pascal's rule; for even m its last entry is C(m, m/2) =
-    2 C(m-1, m/2-1).  Each yielded row is that half followed by its mirror
-    (C(m, j) = C(m, m-j)), so a route that walks the rows in order pays
-    one addition per binomial of the first half instead of a fresh
-    C(m, j).  Only the current half row is kept.  Requires top >= 0.
+    Each half row is built from the one before by Pascal's rule; for even
+    m its last entry is C(m, m/2) = 2 C(m-1, m/2-1).  Nothing is mirrored:
+    a reader takes C(m, j) for j > m//2 as C(m, m-j), so a route that walks
+    the rows in order pays one addition per binomial of the first half
+    instead of a fresh C(m, j).  Only the current half row is kept.
+    Requires top >= 0.
     """
     half = [1]  # C(m, 0), ..., C(m, m // 2)
-    yield [1]
+    yield half
     for m in range(1, top + 1):
         if m % 2:
             half = [1, *map(operator.add, half, half[1:])]
-            yield half + half[::-1]
         else:
             half = [1, *map(operator.add, half, half[1:]), 2 * half[-1]]
-            yield half + half[-2::-1]
+        yield half
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -197,8 +196,9 @@ def genocchi_by_series(N: int) -> GenocchiTable:
     sum is evaluated by Horner's rule: since d_{k-1} = k d_k, it equals
     d_i H_i with H_i = sum_{j<i} Q_j i!/(i-j)!.  Q_0 = 0, and every odd
     Q_j with j >= 3 is 0 whenever the route returns, so H_i runs over the
-    even j >= 2 only, descending, as H = H (i-j-1)(i-j) + Q_j, and closes
-    with H_i = (H (i-1) + Q_1) i; the terms it skips are exactly 0, so
+    even j >= 2 only, descending, as H = H (i-j-1)(i-j) + Q_j (the
+    multiplier depends on i - j alone, so it is tabled once per call), and
+    closes with H_i = (H (i-1) + Q_1) i; the terms it skips are exactly 0, so
     every value equals the full sum's.  So step i multiplies a big
     integer by a small one about i/2 times and by another big integer
     once, and reads no d_k but d_0 and d_i.  The weights are integers,
@@ -207,7 +207,10 @@ def genocchi_by_series(N: int) -> GenocchiTable:
     d_k = new_top!/k! are kept; `_falling_products` gives both without a
     division.  Early steps thus multiply small
     integers, and the last block ends at the full scale D = (2N+1)!.  Then
-    G_{2n} = (2n)! Q_{2n} / D.  Both divisions are checked to be exact.
+    G_{2n} = Q_{2n} / F_n with F_n = D/(2n)! = (2N+1) (2N) ... (2n+1),
+    built down from F_N = 2N+1 by one small product per value, so no
+    value is multiplied up to D and divided by it.  That product, carried
+    on to 2 F_1, must equal D, and every division is checked to be exact.
     The odd part of the quotient is checked on the way out: [t^1] must
     equal 1 and every higher odd coefficient through t^{2N+1} must vanish.
     The odd steps are still solved, since they are that check: if one is
@@ -216,6 +219,9 @@ def genocchi_by_series(N: int) -> GenocchiTable:
     _require_positive(N)
     degree = 2 * N + 1
     Q = [0] * (degree + 1)  # Q[j] = s [t^j], filled by index
+    # Horner multiplier (r-1) r by r = i - j: steps[i % 2] lists r = 2, 4, ...
+    # for even i and r = 1, 3, ... for odd i, as j descends
+    steps = [[(r - 1) * r for r in range(start, degree, 2)] for start in (2, 1)]
     top, s = 0, 1
     for i in range(degree + 1):
         if i > top:
@@ -229,8 +235,8 @@ def genocchi_by_series(N: int) -> GenocchiTable:
             # Q_0 = 0 and every odd Q_j past Q_1 is 0 (checked below), so
             # only even j >= 2 and j = 1 enter; at i = 1, Q[1] is still 0
             H = 0
-            for j in range((i - 1) & ~1, 1, -2):
-                H = H * ((i - j - 1) * (i - j)) + Q[j]
+            for step, q in zip(steps[i % 2], Q[(i - 1) & ~1 : 1 : -2]):
+                H = H * step + q
             H = (H * (i - 1) + Q[1]) * i
             acc -= d[i - low] * H
         Q[i] = _exact_div(acc, 2 * s, f"s [t^{i}]")
@@ -243,10 +249,16 @@ def genocchi_by_series(N: int) -> GenocchiTable:
                 f"[t^{2 * n + 1}] of 2t/(e^t+1) must vanish, "
                 f"got {Fraction(Q[2 * n + 1], D)}"
             )
-    values = {
-        2 * n: _exact_div(Q[2 * n] * math.factorial(2 * n), D, f"G_{2 * n}")
-        for n in range(1, N + 1)
-    }
+    F = [0] * (N + 1)  # F[n] = D/(2n)!, down from F[N] = 2N+1
+    f = degree
+    for n in range(N, 0, -1):
+        F[n] = f
+        f *= 2 * n * (2 * n - 1)
+    if f != D:  # f = 2 F[1]
+        raise SelfCheckError(
+            f"the series scale must be (2N+1)!, got {Fraction(D, f)} (2N+1)!"
+        )
+    values = {2 * n: _exact_div(Q[2 * n], F[n], f"G_{2 * n}") for n in range(1, N + 1)}
     return GenocchiTable(values=values, method="series")
 
 
@@ -259,8 +271,10 @@ def genocchi_by_recursion_even(N: int) -> GenocchiTable:
     _require_positive(N)
     G = [0] * (N + 1)  # G[k] = G_{2k}; G[0] is never read
     rows = itertools.islice(_binomial_rows(2 * N), 2, None, 2)
-    for n, row in enumerate(rows, start=1):
-        acc = sum(map(operator.mul, row[2 : 2 * n : 2], G[1:n]))
+    for n, half in enumerate(rows, start=1):
+        # C(2n, 2k) for k = 1..n-1: half[2k] up to 2k = n, then half[2n-2k]
+        weights = half[2 : n + 1 : 2] + half[2 * ((n + 1) // 2) - 2 : 1 : -2]
+        acc = sum(map(operator.mul, weights, G[1:n]))
         G[n] = _exact_div(-2 * n - acc, 2, f"G_{2 * n}")
     values = {2 * k: G[k] for k in range(1, N + 1)}
     return GenocchiTable(values=values, method="recursion-even")
@@ -280,8 +294,11 @@ def genocchi_by_recursion_odd(N: int) -> GenocchiTable:
     L = functools.reduce(math.lcm, range(2, 2 * N + 1, 2), 1)
     W: list[int] = []  # W[k-1] = G_{2k} L/(2k)
     rows = itertools.islice(_binomial_rows(2 * N), 2, None, 2)
-    for n, row in enumerate(rows, start=1):
-        acc = -L - sum(map(operator.mul, row[1 : 2 * n - 1 : 2], W))
+    for n, half in enumerate(rows, start=1):
+        # C(2n, 2k-1) for k = 1..n-1: half[2k-1] up to 2k-1 = n, then
+        # half[2n-2k+1]; at n = 1 the one entry meets no W_k
+        weights = half[1 : n + 1 : 2] + half[2 * (n // 2) - 1 : 2 : -2]
+        acc = -L - sum(map(operator.mul, weights, W))
         G[n] = _exact_div(acc, L, f"G_{2 * n}")
         W.append(G[n] * _exact_div(L, 2 * n, f"lcm(2..{2 * N}) / {2 * n}"))
     values = {2 * k: G[k] for k in range(1, N + 1)}

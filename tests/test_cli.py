@@ -72,6 +72,27 @@ class TestGenocchiCommand:
         code, out, _ = run(["genocchi", "2"], capsys)
         assert code == 1
         assert "MISMATCH" in out
+        # the row the routes disagree on converts each cell on its own
+        assert f"    2  {-1:>16}  {-1:>16}  {-1:>16}  {0:>16}\n" in out
+        assert f"    4  {1:>16}  {1:>16}  {1:>16}  {1:>16}\n" in out
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize(
+        "argv", [["genocchi", "200"], ["genocchi", "200", "--method", "bernoulli"]]
+    )
+    def test_values_past_the_int_str_digit_limit_print(self, capsys, argv):
+        # G_400 has 671 digits; the write lifts the limit and restores it
+        expected = run(argv, capsys)
+        assert expected[0] == 0 and max(map(len, expected[1].split())) == 671
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert run(argv, capsys) == expected
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_self_check_failure_exits_one(self, capsys, monkeypatch):
         def failing(N):
@@ -84,8 +105,8 @@ class TestGenocchiCommand:
         assert "cross-check" not in out
 
     def test_wrong_binomial_exits_one_without_traceback(self, capsys, monkeypatch):
-        def shifted_rows(top):  # row m holds C(m + 1, j) in place of C(m, j)
-            return ([math.comb(m + 1, j) for j in range(m + 1)] for m in range(top + 1))
+        def shifted_rows(top):  # half row m holds C(m + 1, j) in place of C(m, j)
+            return ([math.comb(m + 1, j) for j in range(m // 2 + 1)] for m in range(top + 1))
 
         monkeypatch.setattr(genocchi, "_binomial_rows", shifted_rows)
         code, _, err = run(["genocchi", "6"], capsys)
@@ -843,7 +864,7 @@ assert codes == [0, 0] and built == [1], (codes, built)
 def test_parser_is_built_on_the_first_call_only():
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", PARSER_ONCE_CHILD, str(src)],
+        [sys.executable, "-I", "-S", "-B", "-c", PARSER_ONCE_CHILD, str(src)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -957,7 +978,7 @@ def test_runs_on_the_standard_library_alone():
     # -I -S: no site-packages, no user site, no PYTHONPATH; only src/ is added
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", STDLIB_ONLY_CHILD, str(src)],
+        [sys.executable, "-I", "-S", "-B", "-c", STDLIB_ONLY_CHILD, str(src)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -980,7 +1001,7 @@ def test_start_up_imports_no_dataclasses_inspect_or_typing():
     # every CLI call is a fresh interpreter; these four modules cost it ~15 ms
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", STARTUP_IMPORTS_CHILD, str(src)],
+        [sys.executable, "-I", "-S", "-B", "-c", STARTUP_IMPORTS_CHILD, str(src)],
         capture_output=True,
         text=True,
         timeout=120,

@@ -46,8 +46,9 @@ ALL_METHODS = [
 
 
 def _rows_from(entry):
-    """A stand-in for `genocchi._binomial_rows` whose row m is entry(m, j)."""
-    return lambda top: ([entry(m, j) for j in range(m + 1)] for m in range(top + 1))
+    """A stand-in for `genocchi._binomial_rows` whose half row m is entry(m, j),
+    j = 0..m//2, so a reader that indexes past the half fails."""
+    return lambda top: ([entry(m, j) for j in range(m // 2 + 1)] for m in range(top + 1))
 
 
 def _tangent_mutant(at=None, coefficient=0, delta=0):
@@ -94,9 +95,10 @@ class TestBinomialRows:
         assert sum(1 for _ in _binomial_rows(top)) == top + 1
 
     def test_rows_match_comb_through_400(self):
-        # row m does not depend on top, so top = 400 covers every top <= 400
+        # row m does not depend on top, so top = 400 covers every top <= 400;
+        # each row is the half C(m, 0..m//2), with no mirror
         for m, row in enumerate(_binomial_rows(400)):
-            assert row == [math.comb(m, j) for j in range(m + 1)], f"row {m}"
+            assert row == [math.comb(m, j) for j in range(m // 2 + 1)], f"row {m}"
 
     def test_no_route_calls_binomial_or_comb(self, monkeypatch):
         expected = {route: route(30).values for route in ALL_METHODS}
@@ -185,9 +187,10 @@ class TestSeries:
         assert blocks == list(zip(tops, tops[1:]))
 
     # Every boundary below adds a full block.  A wrong ratio at a final
-    # boundary that adds t^{2N+1} alone cannot show: Q and s are rescaled
-    # by the same factor, and the one step in that block multiplies
-    # d_{2N+1} by a Horner sum that is zero.
+    # boundary that adds t^{2N+1} alone leaves every step exact: Q and s are
+    # rescaled by the same factor, and the one step in that block multiplies
+    # d_{2N+1} by a Horner sum that is zero.  Only the read-out's check of
+    # the scale catches it (test_wrong_final_scale_is_caught).
     @pytest.mark.parametrize("boundary", [0, _SERIES_BLOCK, 2 * _SERIES_BLOCK])
     @pytest.mark.parametrize("delta", [1, -1])
     def test_block_ratio_off_by_one_is_caught(self, monkeypatch, boundary, delta):
@@ -206,6 +209,24 @@ class TestSeries:
         except SelfCheckError:
             return
         assert got != expected
+
+    def test_wrong_final_scale_is_caught(self, monkeypatch):
+        # N = B/2: the last block adds t^{2N+1} = t^{B+1} alone; its ratio
+        # B+2 in place of B+1 ends the scale at (B+2)/(B+1) (2N+1)!
+        N = _SERIES_BLOCK // 2
+
+        def mutant(top, new_top):
+            out = _falling_products(top, new_top)
+            if new_top == 2 * N + 1:
+                out[0] += 1
+            return out
+
+        monkeypatch.setattr(genocchi, "_falling_products", mutant)
+        ratio = f"{_SERIES_BLOCK + 2}/{_SERIES_BLOCK + 1}"
+        with pytest.raises(
+            SelfCheckError, match=rf"^the series scale must be \(2N\+1\)!, got {ratio} "
+        ):
+            genocchi_by_series(N)
 
 
 class TestRecursionEven:
