@@ -228,7 +228,8 @@ class Complex:
         return Census(
             f=f,
             f_boundary=f_bd,
-            f_interior=FVector(f[d] - f_bd[d] for d in range(n)),
+            # f_bd has n - 1 entries: the boundary has no (n-1)-faces
+            f_interior=FVector(map(operator.sub, f, (*f_bd, 0))),
             report=BallCheckReport(
                 n=n,
                 ridge_incidence_ok=_no_ridge_in_three(first, partner),
@@ -341,12 +342,12 @@ def _connected(partner: list[int], n: int, m: int) -> bool:
     the search skips it; -1 must never index a list of facets, where it
     would read the last facet's row.
     """
-    across = [k // n for k in partner]
     seen = bytearray(m + 1)
     seen[0] = seen[m] = 1
     order = [0]
     for i in order:  # grows while it is read
-        for j in across[i * n:i * n + n]:
+        for p in partner[i * n:i * n + n]:
+            j = p // n
             if not seen[j]:
                 seen[j] = 1
                 order.append(j)
@@ -367,9 +368,7 @@ def _face_counts(
     if n >= _SHELL_MIN_N and facets:
         ridge_pass = first, partner = ridge_pass or _ridge_pass(facets, n)
         if _no_ridge_in_three(first, partner) and (h := _shelling(facets, n, partner)):
-            return FVector(
-                sum(h[r] * comb(n - r, j - r) for r in range(j + 1)) for j in range(1, n + 1)
-            ), True
+            return FVector(sum(map(operator.mul, h, row)) for row in _h_to_f_rows(n)), True
     # n = 0 is the boundary of a point, the empty complex; a point's empty ridge is not counted
     if n < 2:
         return FVector((len(facets),) * n), False
@@ -377,6 +376,15 @@ def _face_counts(
     lower = [len(set(_subsets(facets, s))) for s in range(2, n - 1)]
     vertices = [len(set(itertools.chain.from_iterable(facets)))] if n > 2 else []
     return FVector((*vertices, *lower, ridges, len(facets))), False
+
+
+@functools.cache
+def _h_to_f_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row j - 1 is [C(n-r, j-r) for r = 0..j], for j = 1..n: f_{j-1} = sum_r h_r C(n-r, j-r).
+
+    Built once per n and read by every shelled complex of n-vertex facets.
+    """
+    return tuple(tuple(comb(n - r, j - r) for r in range(j + 1)) for j in range(1, n + 1))
 
 
 def _shelling(facets: list[Face], n: int, partner: list[int]) -> list[int] | None:

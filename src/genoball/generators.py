@@ -14,9 +14,11 @@ produce interior faces in every dimension.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import operator
 import struct
+from collections.abc import Iterator, Sequence
 
 from .complexes import Complex, ComplexError, _screen_failures
 
@@ -165,6 +167,29 @@ def sphere_minus_facet(S: Complex) -> Complex:
     return Complex(S.facets - {doomed})
 
 
+def _run(facet: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The nonempty faces of a facet, by size, each size in combinations order."""
+    n = len(facet)
+    return itertools.chain.from_iterable(map(itertools.combinations, [facet] * n, range(1, n + 1)))
+
+
+@functools.cache
+def _chain_rows(n: int) -> tuple[operator.itemgetter, ...]:
+    """One ``itemgetter`` per ordering of n positions: its prefixes' places in a run.
+
+    A face of the facet is keyed by the bitmask of its positions, and a
+    chain's prefixes by the masks that accumulate along the ordering.
+    Built once per n and read by every subdivision of n-vertex facets.
+    """
+    place = {sum(1 << p for p in positions): k for k, positions in enumerate(_run(range(n)))}
+    # a one-item itemgetter returns the bare item, so a point's chain is a slice
+    return tuple(
+        operator.itemgetter(*map(place.__getitem__, itertools.accumulate(1 << i for i in order)))
+        if n > 1 else operator.itemgetter(slice(1))
+        for order in itertools.permutations(range(n))
+    )
+
+
 def barycentric_subdivision(C: Complex) -> Complex:
     """The flag complex of C: one vertex per face, one facet per maximal chain.
 
@@ -174,26 +199,15 @@ def barycentric_subdivision(C: Complex) -> Complex:
 
     A chain is an ordering of the facet's positions, and its faces are the
     prefixes.  A facet's face ids form one run, by size and then in
-    combinations order; each ordering is tabled once per call as an
-    ``itemgetter`` of its prefixes' places in a run, so no chain is sorted.
-    Ids grow with dimension and a chain's faces grow in dimension, so every
-    chain is increasing; its last face is its facet of C and its prefixes
-    fix the order, so no two chains are equal.
+    combinations order; each ordering is an ``itemgetter`` of its prefixes'
+    places in a run, tabled once per n by ``_chain_rows``, so no chain is
+    sorted.  Ids grow with dimension and a chain's faces grow in dimension,
+    so every chain is increasing; its last face is its facet of C and its
+    prefixes fix the order, so no two chains are equal.
     """
     n = C.n
     by_dim = itertools.chain.from_iterable(sorted(C.faces(dim)) for dim in range(n))
     vid = dict(zip(by_dim, itertools.count(1)))
-    sizes = range(1, n + 1)
-
-    def faces(facet):  # by size, each size in combinations order
-        return itertools.chain.from_iterable(map(itertools.combinations, [facet] * n, sizes))
-    # a face of the facet by the bitmask of its positions -> its place in the run
-    place = {sum(1 << p for p in positions): k for k, positions in enumerate(faces(range(n)))}
-    # a one-item itemgetter returns the bare item, so a point's chain is a slice
-    rows = [
-        operator.itemgetter(*map(place.__getitem__, itertools.accumulate(1 << i for i in order)))
-        if n > 1 else operator.itemgetter(slice(1))
-        for order in itertools.permutations(range(n))
-    ]
-    runs = [tuple(map(vid.__getitem__, faces(facet))) for facet in C.facets]
-    return Complex(frozenset(itertools.chain.from_iterable(map(row, runs) for row in rows)))
+    runs = [tuple(map(vid.__getitem__, _run(facet))) for facet in C.facets]
+    chains = itertools.chain.from_iterable(map(row, runs) for row in _chain_rows(n))
+    return Complex(frozenset(chains))

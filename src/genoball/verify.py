@@ -21,11 +21,19 @@ the Dehn-Sommerville weights integers over 2.  The sum becomes one reduced
 Fraction at the end, so every residual is still an exact Fraction; a pass
 means literal equality with 0.  No floating point appears anywhere on the
 verification path.
+
+The weights depend on (n, k) alone, not on the ball: L, L/(2i) and the
+binomials of the Genocchi sum, and the signed Dehn-Sommerville binomials,
+are built once per (k, n) and then read for every ball.  The binomial
+symmetry self-check runs when a Genocchi entry is built.  Only the
+Genocchi values are read from the table passed in, on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -45,6 +53,10 @@ __all__ = [
     "required_table_size",
     "verify_ball",
 ]
+
+
+# the residual of every check that passes: a Fraction is immutable, so one serves all
+_ZERO = Fraction(0)
 
 
 class ParityError(ValueError):
@@ -79,6 +91,25 @@ def _checked_binomials(k: int, i: int) -> tuple[int, int]:
     return c_bd, c_int
 
 
+@functools.cache
+def _genocchi_weights(k: int, top: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """L = lcm(2, 4, ..., 2 top) and, for i = 1..top, (L/(2i), C(k+2i-1, k+1), C(k+2i, k+1)).
+
+    Built once per (k, top), with each binomial pair self-tested as it is
+    built; a failed self-test raises and caches nothing.
+    """
+    L = math.lcm(*range(2, 2 * top + 1, 2))
+    return L, tuple((L // (2 * i), *_checked_binomials(k, i)) for i in range(1, top + 1))
+
+
+@functools.cache
+def _dehn_sommerville_weights(k: int, n: int) -> tuple[int, ...]:
+    """(-1)^(n+k+i) C(k+1+i, k+1) for i = 1..n-k-1, built once per (k, n)."""
+    return tuple(
+        (-1 if (n + k + i) % 2 else 1) * binomial(k + 1 + i, k + 1) for i in range(1, n - k)
+    )
+
+
 def genocchi_identity_residual(
     k: int, interior: FVector, boundary: FVector, table: GenocchiTable
 ) -> Fraction:
@@ -92,15 +123,15 @@ def genocchi_identity_residual(
     _require_even_gap(n, k)
     if not 0 <= k <= n:
         raise ValueError(f"k must be within 0..{n}, got {k}")
-    top = (n - k) // 2
     # every weight G_{2i}/(2i) is an integer over L = lcm(2, 4, ..., 2 top)
-    L = math.lcm(*range(2, 2 * top + 1, 2))
+    L, weights = _genocchi_weights(k, (n - k) // 2)
     acc = 0
-    for i in range(1, top + 1):
-        c_bd, c_int = _checked_binomials(k, i)
-        weight = table.genocchi(2 * i) * (L // (2 * i))
-        acc += weight * (c_bd * boundary[k + 2 * i - 2] - c_int * interior[k + 2 * i - 1])
-    return Fraction(interior[k] * L - acc, L)
+    for i, (scale, c_bd, c_int) in enumerate(weights, 1):
+        acc += table.genocchi(2 * i) * scale * (
+            c_bd * boundary[k + 2 * i - 2] - c_int * interior[k + 2 * i - 1]
+        )
+    numerator = interior[k] * L - acc
+    return Fraction(numerator, L) if numerator else _ZERO
 
 
 def dehn_sommerville_residual(k: int, interior: FVector, boundary: FVector) -> Fraction:
@@ -114,11 +145,9 @@ def dehn_sommerville_residual(k: int, interior: FVector, boundary: FVector) -> F
     _require_even_gap(n, k)
     if not 0 <= k <= n - 2:
         raise ValueError(f"k must be within 0..{n - 2}, got {k}")
-    acc = 2 * interior[k] + boundary[k]
-    for i in range(1, n - k):
-        sign = -1 if (n + k + i) % 2 else 1
-        acc += sign * binomial(k + 1 + i, k + 1) * interior[k + i]
-    return Fraction(acc, 2)
+    weights = _dehn_sommerville_weights(k, n)
+    acc = 2 * interior[k] + boundary[k] + sum(map(operator.mul, weights, interior[k + 1:n]))
+    return Fraction(acc, 2) if acc else _ZERO
 
 
 def no_interior_faces_residual(

@@ -331,6 +331,13 @@ def test_stacked_rows_match_the_closed_form(seed):
     assert tuple(census.f_boundary) == tuple(t - i for t, i in zip(total, interior))[: n - 1]
 
 
+def test_h_to_f_rows_equal_fresh_binomials():
+    # the rows f_{j-1} = sum_r h_r C(n-r, j-r) reads are built once per n
+    for n in range(41):
+        fresh = tuple(tuple(comb(n - r, j - r) for r in range(j + 1)) for j in range(1, n + 1))
+        assert complexes._h_to_f_rows(n) == fresh, n
+
+
 # n = 6 and 7, the smallest sizes the census shells; the first three are
 # counted by expansion after all
 TWO_DISJOINT_5_SIMPLICES = from_facets([range(1, 7), range(7, 13)])  # stuck: disconnected

@@ -39,6 +39,22 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def cold_weight_memos():
+    """Empty identity-weight memos while the test runs, and again after it.
+
+    The weights are memoised per (k, n), so an earlier test may have built
+    them all; cleared first, they are built anew from a patched
+    ``verify.binomial``, and cleared after, no patched value outlives it.
+    """
+    memos = (verify._genocchi_weights, verify._dehn_sommerville_weights)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
 class TestGenocchiCommand:
     def test_all_methods_verdict(self, capsys):
         code, out, _ = run(["genocchi", "3"], capsys)
@@ -614,6 +630,7 @@ class TestVerifyCommand:
         )
         assert out.splitlines()[-1] == "NONZERO RESIDUAL FOUND"
 
+    @pytest.mark.usefixtures("cold_weight_memos")
     def test_self_check_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         # a binomial that is not symmetric trips verify._checked_binomials
         monkeypatch.setattr(verify, "binomial", lambda n, k: math.comb(n, k) + k)
@@ -624,6 +641,7 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: self-check failed: binomial symmetry broken at")
 
+    @pytest.mark.usefixtures("cold_weight_memos")
     def test_late_self_check_failure_prints_no_json(self, capsys, monkeypatch):
         # binomial symmetry breaks only at n >= 9, which the corpus first
         # reaches after several balls have been verified

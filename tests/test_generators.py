@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genoball import corpus
+from genoball import corpus, generators
 from genoball.complexes import NoBoundaryError, from_facets
 from genoball.corpus import corpus_balls
 from genoball.generators import (
@@ -327,6 +327,21 @@ class TestBarycentricSubdivision:
         sd = barycentric_subdivision(ball)
         assert sd.facets == frozenset(chains)
         assert sd.n == n
+
+
+def test_chain_rows_built_cold_and_read_warm_give_one_subdivision():
+    # the 29 corpus subdivisions and sd(stacked_ball(5, 12, s)) for s = 1..5,
+    # each subdivided with an empty _chain_rows memo and then with a full one
+    sources = [ball for name, ball in corpus_balls() if ball.n <= 4 and not name.startswith("sd-")]
+    sources += [stacked_ball(5, 12, seed) for seed in range(1, 6)]
+    assert len(sources) == 34
+    for ball in sources:
+        generators._chain_rows.cache_clear()
+        cold = barycentric_subdivision(ball)
+        assert generators._chain_rows.cache_info().misses == 1
+        warm = barycentric_subdivision(ball)
+        assert generators._chain_rows.cache_info().hits == 1
+        assert cold == warm
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,9 @@ one on purpose updates the pinned value and says why.
 """
 
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 from genoball import cli
 from genoball.corpus import corpus_balls
@@ -23,6 +26,29 @@ def test_corpus_json_report_digest(capsys):
     out = capsys.readouterr().out.encode("utf-8")
     assert len(out) == CORPUS_JSON_BYTES
     assert hashlib.sha256(out).hexdigest() == CORPUS_JSON_SHA256
+
+
+# -I drops the working directory and PYTHONPATH from sys.path, so `-m` could
+# not find src/; runpy runs the package's __main__ as `-m genoball` would
+FRESH_MAIN = (
+    "import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+    "runpy.run_module('genoball', run_name='__main__', alter_sys=True)"
+)
+
+
+def test_corpus_json_report_digest_in_a_fresh_process():
+    # every per-n table starts empty in a new interpreter, where in-process
+    # runs may read tables that earlier tests built
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-B", "-I", "-S", "-c", FRESH_MAIN, str(src),
+         "verify", "--corpus", "--json"],
+        capture_output=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout) == CORPUS_JSON_BYTES
+    assert hashlib.sha256(result.stdout).hexdigest() == CORPUS_JSON_SHA256
 
 
 def test_corpus_facet_files_digest():

@@ -384,6 +384,55 @@ class TestIntegerResiduals:
             assert residual == _ref_dehn_sommerville_residual(*case)
 
 
+class TestWeightMemos:
+    """The identity weights are built once per (k, n) and read for every
+    ball; each memo entry equals the weights computed afresh."""
+
+    EVEN_GAPS = [(n, k) for n in range(1, 41) for k in range(n % 2, n + 1, 2)]
+
+    def test_genocchi_weights_equal_fresh_values(self):
+        for n, k in self.EVEN_GAPS:
+            top = (n - k) // 2
+            L = math.lcm(*range(2, 2 * top + 1, 2))
+            fresh = tuple(
+                (L // (2 * i), math.comb(k + 2 * i - 1, k + 1), math.comb(k + 2 * i, k + 1))
+                for i in range(1, top + 1)
+            )
+            assert verify._genocchi_weights(k, top) == (L, fresh), (n, k)
+
+    def test_dehn_sommerville_weights_equal_fresh_values(self):
+        for n, k in self.EVEN_GAPS:
+            if k <= n - 2:
+                fresh = tuple(
+                    (-1) ** (n + k + i) * math.comb(k + 1 + i, k + 1) for i in range(1, n - k)
+                )
+                assert verify._dehn_sommerville_weights(k, n) == fresh, (n, k)
+
+    def test_cold_and_warm_memos_give_one_report(self, table):
+        ball = barycentric_subdivision(stacked_ball(4, 3, 1))
+        verify._genocchi_weights.cache_clear()
+        verify._dehn_sommerville_weights.cache_clear()
+        cold = verify_ball(ball, table)
+        assert verify_ball(ball, table) == cold
+        assert verify._genocchi_weights.cache_info().hits > 0
+
+    @pytest.mark.parametrize(
+        "ball", [simplex_ball(6), barycentric_subdivision(stacked_ball(4, 3, 1))],
+        ids=["simplex-n6", "sd-stacked-n4"],
+    )
+    def test_zero_residual_is_a_fraction(self, ball, table):
+        interior, boundary = _vectors(ball)
+        n = ball.n
+        residuals = [genocchi_identity_residual(k, interior, boundary, table)
+                     for k in range(n % 2, n + 1, 2)]
+        residuals += [dehn_sommerville_residual(k, interior, boundary)
+                      for k in range(n % 2, n - 1, 2)]
+        for residual in residuals + [-r for r in residuals]:
+            assert type(residual) is Fraction
+            assert residual == 0
+            assert (residual.numerator, residual.denominator) == (0, 1)
+
+
 class TestVerifyBallResiduals:
     """verify_ball reports the public residuals, also when they are nonzero."""
 
