@@ -27,6 +27,7 @@ from .fileio import load_complex, load_json, save_complex
 from .generators import SPHERE_FAMILIES, barycentric_subdivision, boundary_sphere
 from .genocchi import (
     SelfCheckError,
+    _both_recursions,
     genocchi_by_bernoulli,
     genocchi_by_recursion_even,
     genocchi_by_recursion_odd,
@@ -51,7 +52,13 @@ def _cmd_genocchi(args: argparse.Namespace) -> int:
     # every route raises ValueError for N < 1, which main turns into exit 2
     N = args.N
     if args.method == "all":
-        tables = [fn(N).values for fn in _METHODS.values()]
+        # the two recursions read the same rows of Pascal's triangle, so
+        # one walk serves both; series and Bernoulli run on their own
+        even, odd = _both_recursions(N)
+        walked = {"recursion-even": even.values, "recursion-odd": odd.values}
+        tables = [
+            walked[name] if name in walked else fn(N).values for name, fn in _METHODS.items()
+        ]
         agree = all(values == tables[0] for values in tables)
         _write_lines(_cross_check_lines(N, tables, agree))
         return 0 if agree else 1
@@ -134,10 +141,10 @@ def _row(label: str, f: FVector) -> str:
     return " ".join([f"{label} =", *map(str, f)])
 
 
-def _print_report(report: VerificationReport) -> None:
+def _print_report(report: VerificationReport, passed: list[bool]) -> None:
     print(f"ball {report.name} (n={report.n}, {len(report.checks)} checks)")
-    for check in report.checks:
-        status = "pass" if check.passed else "FAIL"
+    for check, ok in zip(report.checks, passed):
+        status = "pass" if ok else "FAIL"
         suffix = " (trivial)" if check.trivial else ""
         print(
             f"  {check.identity:<18} k={check.k:<3} "
@@ -148,27 +155,31 @@ def _print_report(report: VerificationReport) -> None:
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _json_corpus(reports: list[VerificationReport]) -> str:
+def _json_corpus(reports: list[VerificationReport], verdicts: list[list[bool]]) -> str:
     """The `verify --corpus --json` text, written directly.
 
     Byte-identical to json.dumps(payload, indent=2), where the payload is
     {"pass", "balls": [ball, ...]} and each ball is the object that
     `_json_ball` writes for a file, indented one level (json.dumps escapes
     every newline, so each line is indented).  Names and identities go
-    through json.dumps; residual digits need none.
+    through json.dumps; residual digits need none.  ``verdicts`` holds
+    each report's list of ``check.passed``, read and not recomputed.
     """
-    balls = (_json_ball(report).replace("\n", "\n    ") for report in reports)
+    balls = (
+        _json_ball(report, passed).replace("\n", "\n    ")
+        for report, passed in zip(reports, verdicts)
+    )
     return (
-        f'{{\n  "pass": {_JSON_BOOL[all(r.passed for r in reports)]},\n'
+        f'{{\n  "pass": {_JSON_BOOL[all(map(all, verdicts))]},\n'
         '  "balls": [\n    ' + ",\n    ".join(balls) + "\n  ]\n}"
     )
 
 
-def _json_ball(report: VerificationReport) -> str:
+def _json_ball(report: VerificationReport, passed: list[bool]) -> str:
     """One ball object at the top level; its entries carry big integers
-    as decimal strings.  Each check's residual is compared with 0 once, and
-    each distinct identity name goes through json.dumps once."""
-    passed = [check.residual == 0 for check in report.checks]
+    as decimal strings.  ``passed`` lists each check's ``passed``, read
+    and not recomputed, and each distinct identity name goes through
+    json.dumps once."""
     head = {
         identity: f'    {{\n      "identity": {json.dumps(identity)},\n      "n": {report.n},\n'
         for identity in {check.identity for check in report.checks}
@@ -215,12 +226,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     while balls:
         name, ball = balls.pop()
         reports.append(verify_ball(ball, table, name=name))
-    all_pass = all(r.passed for r in reports)
+    # each residual is compared with 0 once; the writers, the report lines
+    # and the exit code read these lists
+    verdicts = [[check.passed for check in report.checks] for report in reports]
+    all_pass = all(map(all, verdicts))
     if args.json:
-        print(_json_corpus(reports) if args.corpus else _json_ball(reports[0]))
+        if args.corpus:
+            print(_json_corpus(reports, verdicts))
+        else:
+            print(_json_ball(reports[0], verdicts[0]))
     elif args.corpus:
-        for report in reports:
-            verdict = "PASS" if report.passed else "FAIL"
+        for report, passed in zip(reports, verdicts):
+            verdict = "PASS" if all(passed) else "FAIL"
             print(f"{verdict} {report.name} (n={report.n}, {len(report.checks)} checks)")
         total = sum(len(r.checks) for r in reports)
         print(
@@ -228,7 +245,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             + ("all residuals zero" if all_pass else "NONZERO RESIDUAL FOUND")
         )
     else:
-        _print_report(reports[0])
+        _print_report(reports[0], verdicts[0])
         print("all identities hold" if all_pass else "NONZERO RESIDUAL FOUND")
     return 0 if all_pass else 1
 

@@ -66,18 +66,25 @@ def complex_from_obj(obj: object) -> tuple[Complex, str | None]:
     if not _facets_are_valid(facets, n):
         # only a failed bulk check walks the facets one by one, so that the
         # first offender in file order is named
-        for facet in facets:
-            if not isinstance(facet, list) or len(facet) != n:
-                raise FileFormatError(f"every facet must be an array of length {n}: {facet!r}")
-            for v in facet:
-                if type(v) is not int or v < 1:
-                    raise FileFormatError(f"vertex ids must be positive integers, got {v!r}")
-            if any(a >= b for a, b in zip(facet, facet[1:])):
-                raise FileFormatError(f"facet {facet!r} is not strictly increasing")
+        _check_facets_one_by_one(facets, n)
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise FileFormatError(f'"name" must be a string, got {name!r}')
     return Complex(frozenset(map(tuple, facets))), name
+
+
+def _check_facets_one_by_one(facets: list, n: int) -> None:
+    """The facet checks, facet by facet: raises FileFormatError naming the
+    first offender in file order.  Accepts exactly what `_facets_are_valid`
+    accepts, more slowly."""
+    for facet in facets:
+        if not isinstance(facet, list) or len(facet) != n:
+            raise FileFormatError(f"every facet must be an array of length {n}: {facet!r}")
+        for v in facet:
+            if type(v) is not int or v < 1:
+                raise FileFormatError(f"vertex ids must be positive integers, got {v!r}")
+        if any(a >= b for a, b in zip(facet, facet[1:])):
+            raise FileFormatError(f"facet {facet!r} is not strictly increasing")
 
 
 def _facets_are_valid(facets: list, n: int) -> bool:
@@ -88,11 +95,9 @@ def _facets_are_valid(facets: list, n: int) -> bool:
     flat = list(itertools.chain.from_iterable(facets))
     if set(map(type, flat)) != {int} or min(flat) < 1:
         return False
-    # the pairs inside each facet: every position but a facet's last one
-    inside = [True] * (n - 1) + [False]
-    lower = itertools.compress(flat, itertools.cycle(inside))
-    upper = itertools.compress(itertools.islice(flat, 1, None), itertools.cycle(inside))
-    return all(map(operator.lt, lower, upper))
+    # flat[p::n] is column p, every facet's p-th id: each facet increases
+    # strictly iff each column lies below the next one, entry by entry
+    return all(all(map(operator.lt, flat[p::n], flat[p + 1 :: n])) for p in range(n - 1))
 
 
 def complex_to_obj(C: Complex, name: str | None = None) -> dict:

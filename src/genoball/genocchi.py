@@ -28,7 +28,9 @@ with big-by-small products, over the coefficients that can be nonzero
 Every division must leave no remainder, and `_exact_div` raises
 SelfCheckError if one does.  The two recursions read their binomial
 weights from Pascal's triangle, one row at a time (`_binomial_rows`,
-which builds and yields only each row's first half); the series
+which builds and yields only each row's first half), and
+`_both_recursions` runs the two in one walk, handing each half row to
+both steps in turn, for the CLI's four-route cross-check; the series
 and Bernoulli routes use no binomials, and no route calls `binomial` or
 ``math.comb``.  `ratio_identity_residual` uses ``fractions.Fraction``
 and `binomial`.  Every route allocates its table's list in full before any
@@ -262,6 +264,50 @@ def genocchi_by_series(N: int) -> GenocchiTable:
     return GenocchiTable(values=values, method="series")
 
 
+def _even_half_rows(N: int) -> Iterator[list[int]]:
+    """Half rows 2, 4, ..., 2N of Pascal's triangle: the rows the recursions read.
+
+    Read through the module's `_binomial_rows`, one row at a time.
+    """
+    return itertools.islice(_binomial_rows(2 * N), 2, None, 2)
+
+
+def _even_step(n: int, half: list[int], G: list[int]) -> int:
+    """G_{2n} by the even recursion, from half row 2n and G[1:n] = G_2 .. G_{2n-2}.
+
+    Computed as (-2n - sum_k C(2n, 2k) G_{2k}) / 2, checked to be exact.
+    """
+    # C(2n, 2k) for k = 1..n-1: half[2k] up to 2k = n, then half[2n-2k]
+    weights = half[2 : n + 1 : 2] + half[2 * ((n + 1) // 2) - 2 : 1 : -2]
+    acc = sum(map(operator.mul, weights, G[1:n]))
+    return _exact_div(-2 * n - acc, 2, f"G_{2 * n}")
+
+
+def _odd_step(n: int, half: list[int], W: list[int], L: int, N: int) -> int:
+    """G_{2n} by the odd recursion, from half row 2n and W = [W_1 .. W_{n-1}].
+
+    G_{2n} = (-L - sum_k C(2n, 2k-1) W_k) / L over L = lcm(2, 4, ..., 2N),
+    and W_n = G_{2n} L/(2n) is appended to W; both divisions are checked
+    to be exact.
+    """
+    # C(2n, 2k-1) for k = 1..n-1: half[2k-1] up to 2k-1 = n, then
+    # half[2n-2k+1]; at n = 1 the one entry meets no W_k
+    weights = half[1 : n + 1 : 2] + half[2 * (n // 2) - 1 : 2 : -2]
+    value = _exact_div(-L - sum(map(operator.mul, weights, W)), L, f"G_{2 * n}")
+    W.append(value * _exact_div(L, 2 * n, f"lcm(2..{2 * N}) / {2 * n}"))
+    return value
+
+
+def _lcm_of_evens(N: int) -> int:
+    """L = lcm(2, 4, ..., 2N), the odd recursion's common denominator."""
+    return functools.reduce(math.lcm, range(2, 2 * N + 1, 2), 1)
+
+
+def _recursion_table(G: list[int], method: str) -> GenocchiTable:
+    """The table of G[k] = G_{2k}, k = 1 .. len(G) - 1."""
+    return GenocchiTable(values={2 * k: G[k] for k in range(1, len(G))}, method=method)
+
+
 def genocchi_by_recursion_even(N: int) -> GenocchiTable:
     """G_2 .. G_{2N} via G_{2n} = -n - (1/2) sum_{k=1}^{n-1} C(2n, 2k) G_{2k}.
 
@@ -270,14 +316,9 @@ def genocchi_by_recursion_even(N: int) -> GenocchiTable:
     """
     _require_positive(N)
     G = [0] * (N + 1)  # G[k] = G_{2k}; G[0] is never read
-    rows = itertools.islice(_binomial_rows(2 * N), 2, None, 2)
-    for n, half in enumerate(rows, start=1):
-        # C(2n, 2k) for k = 1..n-1: half[2k] up to 2k = n, then half[2n-2k]
-        weights = half[2 : n + 1 : 2] + half[2 * ((n + 1) // 2) - 2 : 1 : -2]
-        acc = sum(map(operator.mul, weights, G[1:n]))
-        G[n] = _exact_div(-2 * n - acc, 2, f"G_{2 * n}")
-    values = {2 * k: G[k] for k in range(1, N + 1)}
-    return GenocchiTable(values=values, method="recursion-even")
+    for n, half in enumerate(_even_half_rows(N), start=1):
+        G[n] = _even_step(n, half, G)
+    return _recursion_table(G, "recursion-even")
 
 
 def genocchi_by_recursion_odd(N: int) -> GenocchiTable:
@@ -291,18 +332,32 @@ def genocchi_by_recursion_odd(N: int) -> GenocchiTable:
     """
     _require_positive(N)
     G = [0] * (N + 1)  # G[k] = G_{2k}; G[0] is never read
-    L = functools.reduce(math.lcm, range(2, 2 * N + 1, 2), 1)
+    L = _lcm_of_evens(N)
     W: list[int] = []  # W[k-1] = G_{2k} L/(2k)
-    rows = itertools.islice(_binomial_rows(2 * N), 2, None, 2)
-    for n, half in enumerate(rows, start=1):
-        # C(2n, 2k-1) for k = 1..n-1: half[2k-1] up to 2k-1 = n, then
-        # half[2n-2k+1]; at n = 1 the one entry meets no W_k
-        weights = half[1 : n + 1 : 2] + half[2 * (n // 2) - 1 : 2 : -2]
-        acc = -L - sum(map(operator.mul, weights, W))
-        G[n] = _exact_div(acc, L, f"G_{2 * n}")
-        W.append(G[n] * _exact_div(L, 2 * n, f"lcm(2..{2 * N}) / {2 * n}"))
-    values = {2 * k: G[k] for k in range(1, N + 1)}
-    return GenocchiTable(values=values, method="recursion-odd")
+    for n, half in enumerate(_even_half_rows(N), start=1):
+        G[n] = _odd_step(n, half, W, L, N)
+    return _recursion_table(G, "recursion-odd")
+
+
+def _both_recursions(N: int) -> tuple[GenocchiTable, GenocchiTable]:
+    """The tables of `genocchi_by_recursion_even` and `genocchi_by_recursion_odd`
+    from one walk of Pascal's triangle.
+
+    Each half row 2n is handed to the even and the odd step in turn, so the
+    two routes advance in lockstep and the walk holds one half row at a time
+    (and the one it is built from), never a table of rows.  The two routes
+    share the rows and nothing else: a wrong row shows in both, and each
+    step's own checks still run.
+    """
+    _require_positive(N)
+    even = [0] * (N + 1)  # even[k] = G_{2k} by the even recursion
+    odd = [0] * (N + 1)  # odd[k] = G_{2k} by the odd recursion
+    L = _lcm_of_evens(N)
+    W: list[int] = []  # W[k-1] = odd[k] L/(2k)
+    for n, half in enumerate(_even_half_rows(N), start=1):
+        even[n] = _even_step(n, half, even)
+        odd[n] = _odd_step(n, half, W, L, N)
+    return _recursion_table(even, "recursion-even"), _recursion_table(odd, "recursion-odd")
 
 
 def _tangent_numbers(N: int) -> list[int]:

@@ -111,14 +111,26 @@ class TestGenocchiCommand:
             sys.set_int_max_str_digits(limit)
 
     def test_self_check_failure_exits_one(self, capsys, monkeypatch):
-        def failing(N):
+        # `--method all` runs the odd recursion's step in the walk it shares
+        # with the even recursion, not through cli._METHODS
+        def failing(*args):
             raise genocchi.SelfCheckError("G_2 must be an integer, got 1/2")
 
-        monkeypatch.setitem(cli._METHODS, "recursion-odd", failing)
+        monkeypatch.setattr(genocchi, "_odd_step", failing)
         code, out, err = run(["genocchi", "3"], capsys)
         assert code == 1
         assert err == "error: self-check failed: G_2 must be an integer, got 1/2\n"
         assert "cross-check" not in out
+
+    def test_self_check_failure_of_one_method_exits_one(self, capsys, monkeypatch):
+        def failing(N):
+            raise genocchi.SelfCheckError("G_2 must be an integer, got 1/2")
+
+        monkeypatch.setitem(cli._METHODS, "recursion-odd", failing)
+        code, out, err = run(["genocchi", "3", "--method", "recursion-odd"], capsys)
+        assert code == 1
+        assert err == "error: self-check failed: G_2 must be an integer, got 1/2\n"
+        assert out == ""
 
     def test_wrong_binomial_exits_one_without_traceback(self, capsys, monkeypatch):
         def shifted_rows(top):  # half row m holds C(m + 1, j) in place of C(m, j)
@@ -399,7 +411,7 @@ class TestVerifyCommand:
     def test_json_entries(self):
         report = verify_ball(simplex_ball(4), genocchi.genocchi_by_recursion_even(2),
                              name="simplex-n4")
-        entries = json.loads(cli._json_ball(report))["entries"]
+        entries = json.loads(cli._json_ball(report, [c.passed for c in report.checks]))["entries"]
         assert all(
             set(e) == {"identity", "n", "k", "residual_numerator",
                        "residual_denominator", "pass"}
@@ -613,6 +625,33 @@ class TestVerifyCommand:
         assert code == 1
         assert "residual=1/2 FAIL" in out
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_one_failing_corpus_ball_fails_the_corpus(self, capsys, monkeypatch, json_flag):
+        # each verdict is decided once; the ball line, the corpus line and
+        # the exit code must all read the failing one
+        calls = []
+
+        def second_fails(ball, table, name=None):
+            calls.append(name)
+            report = verify_ball(ball, table, name=name)
+            if len(calls) != 2:
+                return report
+            bad = report.checks[0]._replace(residual=Fraction(1, 2))
+            return report._replace(checks=(bad, *report.checks[1:]))
+
+        monkeypatch.setattr(cli, "verify_ball", second_fails)
+        code, out, _ = run(["verify", "--corpus", "--max-n", "3", *json_flag], capsys)
+        assert code == 1
+        if json_flag:
+            payload = json.loads(out)
+            assert payload["pass"] is False
+            assert [ball["pass"] for ball in payload["balls"]][:3] == [True, False, True]
+            assert [e["pass"] for e in payload["balls"][1]["entries"]][:2] == [False, True]
+        else:
+            lines = out.splitlines()
+            assert [line.split()[0] for line in lines[:3]] == ["PASS", "FAIL", "PASS"]
+            assert lines[-1].endswith("NONZERO RESIDUAL FOUND")
+
     def test_corrupted_table_fails_boundary_only_identity(self, tmp_path, capsys, monkeypatch):
         def corrupted(N):
             table = genocchi.genocchi_by_recursion_even(N)
@@ -724,11 +763,13 @@ _reports = st.builds(
 @given(reports=st.lists(_reports, min_size=1, max_size=3), corpus=st.booleans())
 def test_json_report_is_json_dumps_indent_2(reports, corpus):
     # _json_corpus writes the corpus report, _json_ball the report of a file
+    # the writers read each check's verdict as given, not from its residual
+    verdicts = [[check.passed for check in report.checks] for report in reports]
     if corpus:
-        text = cli._json_corpus(reports)
+        text = cli._json_corpus(reports, verdicts)
     else:
         reports = reports[:1]
-        text = cli._json_ball(reports[0])
+        text = cli._json_ball(reports[0], verdicts[0])
     assert text == _ref_json_report(reports, corpus)
 
 

@@ -6,13 +6,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genoball.complexes import Complex, from_facets
 from genoball.fileio import (
     FileFormatError,
+    _check_facets_one_by_one,
     _dumps,
+    _facets_are_valid,
     complex_from_obj,
     complex_to_obj,
     load_complex,
@@ -171,6 +173,30 @@ def test_bulk_checks_agree_with_the_per_facet_loop(obj):
         assert str(info.value) == str(exc)
     else:
         assert complex_from_obj(obj) == (expected, None)
+
+
+@settings(max_examples=300)
+@given(_mixed_facet_objects())
+@example({"n": 3, "facets": [[1, 2, 3], [1, 2]]})  # a wrong length
+@example({"n": 3, "facets": [[1, 2, 3, 4]]})
+@example({"n": 3, "facets": [[1, 2, 3], [2, 2, 4]]})  # equal neighbours
+@example({"n": 3, "facets": [[1, 2, 3], [1, 4, 3]]})  # descending neighbours
+@example({"n": 2, "facets": [[0, 1]]})
+@example({"n": 2, "facets": [[-1, 1]]})
+@example({"n": 2, "facets": [[True, 2]]})
+@example({"n": 2, "facets": [[1.0, 2]]})
+@example({"n": 2, "facets": [["1", 2]]})
+@example({"n": 1, "facets": [[1], [1]]})
+@example({"n": 3, "facets": [[1, 2, 3], [2, 3, 4]]})
+def test_bulk_check_accepts_exactly_what_the_per_facet_walk_accepts(obj):
+    facets, n = obj["facets"], obj["n"]
+    try:
+        _check_facets_one_by_one(facets, n)
+    except FileFormatError:
+        walked = False
+    else:
+        walked = True
+    assert _facets_are_valid(facets, n) is walked
 
 
 def test_the_first_faulty_facet_in_file_order_is_named():

@@ -6,6 +6,7 @@ against an independent computer algebra system.
 """
 
 import math
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from genoball.genocchi import (
     SelfCheckError,
     _SERIES_BLOCK,
     _binomial_rows,
+    _both_recursions,
     _exact_div,
     _falling_products,
     _tangent_numbers,
@@ -124,6 +126,8 @@ class TestBinomialRows:
         monkeypatch.setattr(genocchi, "math", fake_math)
         for route, values in expected.items():
             assert route(30).values == values, route.__name__
+        recursions = [genocchi_by_recursion_even, genocchi_by_recursion_odd]
+        assert [t.values for t in _both_recursions(30)] == [expected[r] for r in recursions]
         assert called == {"factorial", "lcm"}
 
 
@@ -271,6 +275,52 @@ class TestRecursionOdd:
             SelfCheckError, match=r"^lcm\(2\.\.4\) / 2 must be an integer, got 13/2$"
         ):
             genocchi_by_recursion_odd(2)
+
+
+class TestBothRecursions:
+    """`_both_recursions`: the even and the odd recursion in one walk of the
+    triangle, as `genocchi --method all` runs them."""
+
+    @pytest.mark.parametrize("N", [*range(1, 61), 300])
+    def test_tables_equal_the_single_routes(self, N):
+        even, odd = _both_recursions(N)
+        assert even == genocchi_by_recursion_even(N)
+        assert odd == genocchi_by_recursion_odd(N)
+
+    def test_walks_the_triangle_once(self, monkeypatch):
+        tops = []
+
+        def rows(top):
+            tops.append(top)
+            return _binomial_rows(top)
+
+        monkeypatch.setattr(genocchi, "_binomial_rows", rows)
+        _both_recursions(7)
+        assert tops == [14]
+
+    def test_wrong_rows_are_caught(self, monkeypatch):
+        # C(4, 2) + 1 = 7 makes the even route's G_4 = 3/2, as in
+        # TestRecursionEven; the even step runs first at each row
+        monkeypatch.setattr(
+            genocchi, "_binomial_rows", _rows_from(lambda n, k: math.comb(n, k) + 1)
+        )
+        with pytest.raises(SelfCheckError, match=r"^G_4 must be an integer, got 3/2$"):
+            _both_recursions(2)
+
+    def test_peak_memory_is_within_the_single_routes_added(self):
+        # the routes take each half row in lockstep: a walk that kept the
+        # rows, or let one route run ahead of the other, would hold many
+        def peak(route):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                route(300)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        even, odd = peak(genocchi_by_recursion_even), peak(genocchi_by_recursion_odd)
+        assert peak(_both_recursions) <= even + odd
 
 
 class TestTangentNumbers:
