@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -82,7 +83,7 @@ def _cross_check_lines(N: int, tables: list[dict[int, int]], agree: bool) -> Ite
 
 
 def _write_lines(lines: Iterable[str]) -> None:
-    """Write the lines to stdout in one call.
+    """Print the lines to stdout as one text.
 
     The lines are formed, and their ints converted, while CPython's limit on
     int-to-str digits (4300 by default) is lifted, so a value of any length
@@ -96,7 +97,7 @@ def _write_lines(lines: Iterable[str]) -> None:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    sys.stdout.write(text + "\n")
+    print(text)
 
 
 _OPTIONS = {
@@ -304,16 +305,43 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _to_devnull(stream) -> None:
+    """Point a stream's broken descriptor at os.devnull, so that the flush at
+    exit succeeds and prints no "Exception ignored" line."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _error(message: str) -> None:
+    """Write an error line to stderr if it still takes one: a closed or dead
+    stderr loses the line and leaves the exit code as it was."""
+    if sys.stderr is None:
+        return
+    try:
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a write error shows here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the reader of stdout left: an output error, like a full disk
+        _to_devnull(sys.stdout)
+        _error(str(exc))
+        return 2
     except (ValueError, OSError, OverflowError, MemoryError) as exc:
         # an integer too large to index or allocate is an input error too
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _error(str(exc) or "out of memory")
         return 2
     except SelfCheckError as exc:
-        print(f"error: self-check failed: {exc}", file=sys.stderr)
+        _error(f"self-check failed: {exc}")
         return 1
 
 

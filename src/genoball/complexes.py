@@ -164,7 +164,7 @@ class Complex:
     def __init__(self, facets: frozenset[Face]):
         if not facets:
             raise EmptyInputError("a complex needs at least one facet")
-        sizes = {len(f) for f in facets}
+        sizes = set(map(len, facets))
         if len(sizes) != 1:
             raise NonPureError(f"facet sizes differ: {sorted(sizes)}")
         self.facets = facets

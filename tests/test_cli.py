@@ -11,6 +11,7 @@ import io
 import json
 import math
 import operator
+import os
 import re
 import subprocess
 import sys
@@ -1067,6 +1068,65 @@ def test_start_up_imports_no_dataclasses_inspect_or_typing():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+MAIN_CHILD = """
+import sys
+sys.path.insert(0, sys.argv.pop(1))
+from genoball.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_child(argv, **streams):
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", MAIN_CHILD, str(src), *argv],
+        timeout=120,
+        **streams,
+    )
+
+
+def dead_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize(
+    "argv", [["genocchi", "5"], ["verify", "--corpus", "--max-n", "3", "--json"]]
+)
+def test_dead_stdout_pipe_is_an_output_error(argv):
+    # written or flushed inside main, so the error line is main's, not the
+    # interpreter's "Exception ignored" at exit
+    write = dead_pipe()
+    try:
+        result = run_child(argv, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+def test_dead_stdout_and_stderr_pipe_is_an_output_error():
+    # the error line cannot be written either, which leaves the exit code at 2
+    write = dead_pipe()
+    try:
+        result = run_child(["genocchi", "5"], stdout=write, stderr=write)
+    finally:
+        os.close(write)
+    assert result.returncode == 2
+
+
+def test_closed_stdout_prints_nothing_and_exits_zero():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        ["sh", "-c", '"$0" -I -S -B -c "$1" "$2" genocchi 5 >&-', sys.executable, MAIN_CHILD, src],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
 
 
 PACKAGE_MODULES = ("complexes", "corpus", "fileio", "generators", "genocchi", "verify")

@@ -130,6 +130,18 @@ class TestIncrementalStacking:
         assert ball.facets == rescan_stacked_facets(n, m, seed)
         assert_normal_form(ball)
 
+    @pytest.mark.parametrize(
+        "n,m,seed",
+        [(2, m, seed) for m in (2, 3, 300) for seed in (1, -1, 2**64)]
+        + [(n, 300, seed) for n in (9, 10, 12) for seed in (-(2**64) - 3, 2**64 + 1)],
+    )
+    def test_key_cuts_match_rescan(self, n, m, seed):
+        # a facet key is n ids: at n = 2 a ridge is one id and its cut's head
+        # is empty; seeds outside [0, 2^64) reach the LCG reduced mod 2^64
+        ball = stacked_ball(n, m, seed)
+        assert ball.facets == rescan_stacked_facets(n, m, seed)
+        assert_normal_form(ball)
+
     def test_single_facet_enumerates_no_ridges(self):
         # an eager ridge list would hold 3000 tuples of 2999 vertices (~72 MB)
         tracemalloc.start()
