@@ -1,19 +1,20 @@
 """Pure simplicial complexes, f-vectors, boundaries, interior face counts.
 
-A complex is stored by its facet set alone.  Its census generates each
-facet's ridges once and records which facets share each ridge in one
-flat integer array, ``partner``: slot i*n + r is the r-th ridge of facet
-i; the facet across position p of facet i is partner[i*n + n-1-p] // n,
-or none when that slot holds -1.  The boundary ridges, the overflow
-check (a count identity), the shelling and, unless a shelling reached
-every facet, the adjacency search read that array.  The faces of the
-complex, and then of its boundary, are counted by one rule: below six
-vertices per facet by expansion, with the complex's ridges read off its
-pass, and from six up by a greedy shelling over a ridge pass, whose
-h-vector gives f, falling back to the expansion when it gets stuck; so
-the counts are exact either way.  The ball screen is read off those
-counts; one function lists its conditions and the sphere screen's.  The
-boundary complex is built only when :meth:`Complex.boundary` is called.
+A complex is stored by its facets alone, a tuple in lexicographic order.
+Its census generates each facet's ridges once and records which facets
+share each ridge in one flat integer array, ``partner``: slot i*n + r is
+the r-th ridge of facet i; the facet across position p of facet i is
+partner[i*n + n-1-p] // n, or none when that slot holds -1.  The boundary
+ridges, the overflow check (a count identity), the shelling and, unless a
+shelling reached every facet or each facet meets an earlier one, the
+adjacency search read that array.  The faces of the complex, and then of
+its boundary, are counted by one rule: below six vertices per facet by
+expansion, with the complex's ridges read off its pass, and from six up
+by a greedy shelling over a ridge pass, whose h-vector gives f, falling
+back to the expansion when it gets stuck; so the counts are exact either
+way.  The ball screen is read off those counts; one function lists its
+conditions and the sphere screen's.  The boundary complex is built only
+when :meth:`Complex.boundary` is called.
 
 Faces are strictly increasing tuples of nonnegative integer vertex ids.
 The ambient parameter n is the number of vertices per facet, so a complex
@@ -152,21 +153,26 @@ class Census(namedtuple("Census", "f f_boundary f_interior report")):
 class Complex:
     """A pure simplicial complex given by its facets.
 
+    ``facets`` holds each facet once, in increasing lexicographic order:
+    the constructor sorts its argument and collapses equal neighbours.
     Instances are immutable.  Use :func:`from_facets` to build one from
-    raw vertex lists; the constructor trusts its argument.  Faces are
-    expanded one dimension at a time when asked for and never kept.  Only
-    the census is cached, with a single compute-then-assign, so concurrent
-    readers are safe.
+    raw vertex lists; the constructor trusts each facet to be sorted.
+    Faces are expanded one dimension at a time when asked for and never
+    kept.  Only the census is cached, with a single compute-then-assign,
+    so concurrent readers are safe.
     """
 
     __slots__ = ("facets", "n", "_census")
 
-    def __init__(self, facets: frozenset[Face]):
+    def __init__(self, facets: Iterable[Face]):
+        facets = tuple(sorted(facets))
         if not facets:
             raise EmptyInputError("a complex needs at least one facet")
         sizes = set(map(len, facets))
         if len(sizes) != 1:
             raise NonPureError(f"facet sizes differ: {sorted(sizes)}")
+        if any(map(operator.eq, facets, facets[1:])):
+            facets = tuple(dict.fromkeys(facets))
         self.facets = facets
         self.n = sizes.pop()
         self._census: Census | None = None
@@ -207,8 +213,9 @@ class Complex:
         pass (the boundary's own), with the expansion as the fallback when
         the shelling gets stuck; only dimensions 0..n-3 are ever expanded.
         The adjacency search runs only when no shelling reached every
-        facet.  :meth:`faces` and :meth:`f_vector` are not called and no
-        :class:`Complex` is built.  Never raises.
+        facet and some facet meets no earlier one.  :meth:`faces` and
+        :meth:`f_vector` are not called and no :class:`Complex` is built.
+        Never raises.
         """
         census = self._census
         if census is None:
@@ -218,12 +225,12 @@ class Complex:
 
     def _take_census(self) -> "Census":
         n = self.n
-        facets = list(self.facets)
-        first, partner = _ridge_pass(facets, n)
+        facets = self.facets
+        ridge_pass = first, partner, linked = _ridge_pass(facets, n)
         boundary = _boundary_ridges(first, partner)
-        f, shelled = _face_counts(facets, n, (first, partner))
+        f, shelled = _face_counts(facets, n, ridge_pass)
         # a shelling crosses only shared ridges, so reaching every facet connects them
-        connected = shelled or _connected(partner, n, len(facets))
+        connected = shelled or linked or _connected(partner, n, len(facets))
         f_bd = _face_counts(boundary, n - 1)[0]
         return Census(
             f=f,
@@ -249,7 +256,7 @@ class Complex:
         each call builds the complex anew from a ridge pass of its own.
         """
         self._census_with_boundary()
-        return Complex(frozenset(_boundary_ridges(*_ridge_pass(list(self.facets), self.n))))
+        return Complex(_boundary_ridges(*_ridge_pass(self.facets, self.n)[:2]))
 
     def interior_f_vector(self) -> FVector:
         """f(B) - f(boundary B) componentwise.
@@ -267,7 +274,7 @@ class Complex:
         census = self.census()
         if not census.report.ridge_incidence_ok:
             # the census's facet order again, so the same ridge is named first
-            ridge, count = _first_overflow(*_ridge_pass(list(self.facets), self.n))
+            ridge, count = _first_overflow(*_ridge_pass(self.facets, self.n)[:2])
             raise RidgeOverflowError(f"ridge {ridge} lies in {count} facets")
         if not census.report.has_boundary:
             raise NoBoundaryError("every ridge is interior")
@@ -278,7 +285,7 @@ class Complex:
         return self.census().report
 
 
-def _ridge_pass(facets: list[Face], n: int) -> tuple[dict[Face, int], list[int]]:
+def _ridge_pass(facets: Sequence[Face], n: int) -> tuple[dict[Face, int], list[int], bool]:
     """Which facets share each ridge, in one flat array; one dict operation per ridge.
 
     Slot k = i*n + r stands for the r-th ridge of facets[i] in
@@ -286,21 +293,24 @@ def _ridge_pass(facets: list[Face], n: int) -> tuple[dict[Face, int], list[int]]
     ``first`` maps each ridge to its first slot.  ``partner[k]`` is -1
     for a ridge held by one facet; otherwise the holders of a ridge form
     a ring of slots, each pointing at the next, so two holders point at
-    each other.
+    each other.  ``linked`` tells whether every facet after the first
+    meets an earlier one, which connects the facet-adjacency graph.
     """
     first: dict[Face, int] = {}
     setdefault = first.setdefault
     partner = [-1] * (len(facets) * n)
+    meets_earlier = bytearray(len(facets))
     k = 0
-    for facet in facets:
+    for i, facet in enumerate(facets):
         for ridge in itertools.combinations(facet, n - 1):
             j = setdefault(ridge, k)
             if j != k:
                 p = partner[j]
                 partner[k] = j if p < 0 else p
                 partner[j] = k
+                meets_earlier[i] = 1
             k += 1
-    return first, partner
+    return first, partner, meets_earlier.count(0) == 1  # facets[0] meets no earlier one
 
 
 def _boundary_ridges(first: dict[Face, int], partner: list[int]) -> list[Face]:
@@ -355,7 +365,7 @@ def _connected(partner: list[int], n: int, m: int) -> bool:
 
 
 def _face_counts(
-    facets: list[Face], n: int, ridge_pass: tuple[dict[Face, int], list[int]] | None = None
+    facets: Sequence[Face], n: int, ridge_pass: tuple[dict, list[int], bool] | None = None
 ) -> tuple[FVector, bool]:
     """The f-vector of a pure complex, and whether a shelling reached every facet.
 
@@ -366,7 +376,7 @@ def _face_counts(
     the ridges are counted off a given pass and f_0 off the vertices.
     """
     if n >= _SHELL_MIN_N and facets:
-        ridge_pass = first, partner = ridge_pass or _ridge_pass(facets, n)
+        ridge_pass = first, partner, _ = ridge_pass or _ridge_pass(facets, n)
         if _no_ridge_in_three(first, partner) and (h := _shelling(facets, n, partner)):
             return FVector(sum(map(operator.mul, h, row)) for row in _h_to_f_rows(n)), True
     # n = 0 is the boundary of a point, the empty complex; a point's empty ridge is not counted
@@ -387,7 +397,7 @@ def _h_to_f_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(comb(n - r, j - r) for r in range(j + 1)) for j in range(1, n + 1))
 
 
-def _shelling(facets: list[Face], n: int, partner: list[int]) -> list[int] | None:
+def _shelling(facets: Sequence[Face], n: int, partner: list[int]) -> list[int] | None:
     """The h-vector of a greedy shelling from facets[0], or None if it gets stuck.
 
     Every ridge must lie in at most two facets.  R(F) holds the vertices v
@@ -463,7 +473,7 @@ def from_facets(facet_lists: Iterable[Sequence[int]]) -> Complex:
     Rejects empty input, facets of mixed sizes, repeated vertices inside a
     facet, and non-integer or negative vertex ids.
     """
-    normalized: set[Face] = set()
+    normalized: list[Face] = []
     for raw in facet_lists:
         for v in raw:
             if type(v) is not int or v < 0:
@@ -473,5 +483,5 @@ def from_facets(facet_lists: Iterable[Sequence[int]]) -> Complex:
             raise EmptyInputError("empty facet")
         if len(set(facet)) != len(facet):
             raise DuplicateVertexError(f"facet {list(raw)} repeats a vertex")
-        normalized.add(facet)
-    return Complex(frozenset(normalized))
+        normalized.append(facet)
+    return Complex(normalized)

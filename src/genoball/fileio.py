@@ -10,6 +10,8 @@ These format checks are the only validation a file gets: a nonempty
 array of length-n, strictly increasing facets of positive ``int`` ids is
 already nonempty, pure, sorted and free of repeated vertices, so the
 facets become a :class:`Complex` as they are, without ``from_facets``.
+They may come in any order, and repeat: the :class:`Complex` sorts them,
+in linear time on the sorted files :func:`save_complex` writes.
 The facets are checked in a few bulk passes over all of them at once;
 only when one of those fails are they walked one by one, so that the
 error names the first offender in file order.
@@ -70,7 +72,7 @@ def complex_from_obj(obj: object) -> tuple[Complex, str | None]:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise FileFormatError(f'"name" must be a string, got {name!r}')
-    return Complex(frozenset(map(tuple, facets))), name
+    return Complex(map(tuple, facets)), name
 
 
 def _check_facets_one_by_one(facets: list, n: int) -> None:
@@ -102,7 +104,7 @@ def _facets_are_valid(facets: list, n: int) -> bool:
 
 def complex_to_obj(C: Complex, name: str | None = None) -> dict:
     """The canonical JSON object for a complex: sorted facets, optional name."""
-    obj: dict = {"n": C.n, "facets": [list(f) for f in sorted(C.facets)]}
+    obj: dict = {"n": C.n, "facets": list(map(list, C.facets))}
     if name is not None:
         obj["name"] = name
     return obj

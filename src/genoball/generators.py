@@ -41,6 +41,12 @@ class SphereScreenError(ComplexError):
     """The input failed the necessary conditions for being a sphere."""
 
 
+# _Lcg's constants; a draw reads them as globals, not through the instance
+_LCG_MULT = 6364136223846793005
+_LCG_INC = 1442695040888963407
+_LCG_MASK = (1 << 64) - 1
+
+
 class _Lcg:
     """64-bit linear congruential generator (Knuth's MMIX constants).
 
@@ -49,15 +55,11 @@ class _Lcg:
     exactly, independent of language or library version.
     """
 
-    MULT = 6364136223846793005
-    INC = 1442695040888963407
-    MASK = (1 << 64) - 1
-
     def __init__(self, seed: int):
-        self.state = seed & self.MASK
+        self.state = seed & _LCG_MASK
 
     def below(self, bound: int) -> int:
-        self.state = (self.state * self.MULT + self.INC) & self.MASK
+        self.state = (self.state * _LCG_MULT + _LCG_INC) & _LCG_MASK
         return (self.state >> 32) % bound
 
 
@@ -68,7 +70,7 @@ def simplex_ball(n: int) -> Complex:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return Complex(frozenset({tuple(range(1, n + 1))}))
+    return Complex([tuple(range(1, n + 1))])
 
 
 def stacked_ball(n: int, m: int, seed: int) -> Complex:
@@ -115,7 +117,7 @@ def stacked_ball(n: int, m: int, seed: int) -> Complex:
             append(unpack(key))
             for head, tail in cuts:
                 insort(ridges, key[head] + key[tail])
-    return Complex(frozenset(facets))
+    return Complex(facets)
 
 
 def boundary_sphere(family: str, n: int) -> Complex:
@@ -130,12 +132,12 @@ def boundary_sphere(family: str, n: int) -> Complex:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if family == "simplex":
-        return Complex(frozenset(itertools.combinations(range(1, n + 1), n - 1)))
+        return Complex(itertools.combinations(range(1, n + 1), n - 1))
     if family == "cross_polytope":
         facets = [()] * (1 << n)  # allocated first: a huge n fails here, not in the loop
         for index, signs in enumerate(itertools.product((0, 1), repeat=n)):
             facets[index] = tuple(2 * i + 1 + s for i, s in enumerate(signs))
-        return Complex(frozenset(facets))
+        return Complex(facets)
     raise ValueError(f"unknown sphere family {family!r}")
 
 
@@ -155,7 +157,7 @@ def cone_over_boundary(S: Complex) -> Complex:
     """
     _screen_sphere(S)
     apex = max(S.vertices) + 1
-    return Complex(frozenset(facet + (apex,) for facet in S.facets))
+    return Complex(facet + (apex,) for facet in S.facets)
 
 
 def sphere_minus_facet(S: Complex) -> Complex:
@@ -166,8 +168,7 @@ def sphere_minus_facet(S: Complex) -> Complex:
     exactly one other facet, so no lower face disappears.
     """
     _screen_sphere(S)
-    doomed = min(S.facets)
-    return Complex(S.facets - {doomed})
+    return Complex(S.facets[1:])
 
 
 def _run(facet: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -213,4 +214,4 @@ def barycentric_subdivision(C: Complex) -> Complex:
     vid = dict(zip(by_dim, itertools.count(1)))
     runs = [tuple(map(vid.__getitem__, _run(facet))) for facet in C.facets]
     chains = itertools.chain.from_iterable(map(row, runs) for row in _chain_rows(n))
-    return Complex(frozenset(chains))
+    return Complex(chains)

@@ -53,7 +53,7 @@ class TestFromFacets:
     def test_single_simplex(self):
         c = from_facets(TRIANGLE)
         assert c.n == 3
-        assert c.facets == frozenset({(1, 2, 3)})
+        assert c.facets == ((1, 2, 3),)
 
     def test_two_facets(self):
         c = from_facets(TWO_TRIANGLES)
@@ -61,7 +61,7 @@ class TestFromFacets:
 
     def test_normalizes_and_dedupes(self):
         c = from_facets([[3, 1, 2], [1, 2, 3]])
-        assert c.facets == frozenset({(1, 2, 3)})
+        assert c.facets == ((1, 2, 3),)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(NonPureError):
@@ -156,11 +156,11 @@ class TestFVector:
 class TestBoundary:
     def test_triangle(self):
         bd = from_facets(TRIANGLE).boundary()
-        assert bd.facets == frozenset({(1, 2), (1, 3), (2, 3)})
+        assert bd.facets == tuple(sorted({(1, 2), (1, 3), (2, 3)}))
 
     def test_shared_edge_is_interior(self):
         bd = from_facets(TWO_TRIANGLES).boundary()
-        assert bd.facets == frozenset({(1, 2), (1, 3), (2, 4), (3, 4)})
+        assert bd.facets == tuple(sorted({(1, 2), (1, 3), (2, 4), (3, 4)}))
 
     def test_sphere_has_no_boundary(self):
         with pytest.raises(NoBoundaryError):

@@ -32,6 +32,18 @@ def test_round_trip(tmp_path):
     assert name == "stacked-n4-m5-s2"
 
 
+def test_facets_out_of_order_and_repeated_load_as_the_canonical_file(tmp_path):
+    ball = stacked_ball(4, 12, 2)
+    canonical, shuffled = tmp_path / "canonical.json", tmp_path / "shuffled.json"
+    save_complex(ball, canonical)
+    facets = [list(f) for f in reversed(ball.facets)]
+    facets.insert(5, facets[2])
+    shuffled.write_text(json.dumps({"n": ball.n, "facets": facets}))
+    loaded = [load_complex(canonical)[0], load_complex(shuffled)[0]]
+    assert loaded[0].facets == loaded[1].facets == ball.facets
+    assert loaded[0].census() == loaded[1].census()
+
+
 def test_output_is_valid_json_with_one_facet_per_line(tmp_path):
     path = tmp_path / "ball.json"
     save_complex(stacked_ball(3, 2, 1), path)
