@@ -7,14 +7,16 @@ the r-th ridge of facet i; the facet across position p of facet i is
 partner[i*n + n-1-p] // n, or none when that slot holds -1.  The boundary
 ridges, the overflow check (a count identity), the shelling and, unless a
 shelling reached every facet or each facet meets an earlier one, the
-adjacency search read that array.  The faces of the complex, and then of
-its boundary, are counted by one rule: below six vertices per facet by
-expansion, with the complex's ridges read off its pass, and from six up
-by a greedy shelling over a ridge pass, whose h-vector gives f, falling
-back to the expansion when it gets stuck; so the counts are exact either
-way.  The ball screen is read off those counts; one function lists its
-conditions and the sphere screen's.  The boundary complex is built only
-when :meth:`Complex.boundary` is called.
+adjacency search read that array, and nothing else does.  The faces of
+the complex, and then of its boundary, are counted by one rule: below six
+vertices per facet by expansion, with the complex's ridges read off its
+pass, and from six up by a greedy shelling over a ridge pass, whose
+h-vector gives f, falling back to the expansion when it gets stuck; so
+the counts are exact either way.  The ball screen is read off those
+counts; one function lists its conditions and the sphere screen's.  The
+boundary complex is built only when :meth:`Complex.boundary` is called,
+from a ``Counter`` of each ridge's holders, which also names the crowded
+ridge in the error for a ridge in three or more facets.
 
 Faces are strictly increasing tuples of nonnegative integer vertex ids.
 The ambient parameter n is the number of vertices per facet, so a complex
@@ -28,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from math import comb
 
@@ -227,7 +229,8 @@ class Complex:
         n = self.n
         facets = self.facets
         ridge_pass = first, partner, linked = _ridge_pass(facets, n)
-        boundary = _boundary_ridges(first, partner)
+        # the ridges in exactly one facet, in the order the ridge pass saw them
+        boundary = list(itertools.compress(first, [partner[k] < 0 for k in first.values()]))
         f, shelled = _face_counts(facets, n, ridge_pass)
         # a shelling crosses only shared ridges, so reaching every facet connects them
         connected = shelled or linked or _connected(partner, n, len(facets))
@@ -253,10 +256,11 @@ class Complex:
         For a ball this is its boundary sphere.  Raises RidgeOverflowError
         if some ridge lies in three or more facets, NoBoundaryError if
         every ridge lies in exactly two.  The census keeps no ridges, so
-        each call builds the complex anew from a ridge pass of its own.
+        each call counts the holders of each ridge anew.
         """
         self._census_with_boundary()
-        return Complex(_boundary_ridges(*_ridge_pass(self.facets, self.n)[:2]))
+        held = Counter(_subsets(self.facets, self.n - 1))
+        return Complex([ridge for ridge, count in held.items() if count == 1])
 
     def interior_f_vector(self) -> FVector:
         """f(B) - f(boundary B) componentwise.
@@ -273,8 +277,9 @@ class Complex:
             raise ComplexError("boundary needs facets with at least 2 vertices")
         census = self.census()
         if not census.report.ridge_incidence_ok:
-            # the census's facet order again, so the same ridge is named first
-            ridge, count = _first_overflow(*_ridge_pass(self.facets, self.n)[:2])
+            # ridges in the census's first-seen order, so the same ridge is named first
+            held = Counter(_subsets(self.facets, self.n - 1))
+            ridge, count = next((r, c) for r, c in held.items() if c > 2)
             raise RidgeOverflowError(f"ridge {ridge} lies in {count} facets")
         if not census.report.has_boundary:
             raise NoBoundaryError("every ridge is interior")
@@ -293,8 +298,11 @@ def _ridge_pass(facets: Sequence[Face], n: int) -> tuple[dict[Face, int], list[i
     ``first`` maps each ridge to its first slot.  ``partner[k]`` is -1
     for a ridge held by one facet; otherwise the holders of a ridge form
     a ring of slots, each pointing at the next, so two holders point at
-    each other.  ``linked`` tells whether every facet after the first
-    meets an earlier one, which connects the facet-adjacency graph.
+    each other and the adjacency search reaches every holder of a crowded
+    ridge.  ``linked`` tells whether every facet after the first meets an
+    earlier one, which connects the facet-adjacency graph.  Only the
+    census reads this pass: :meth:`Complex.boundary` and the overflow
+    error count each ridge's holders with a ``Counter`` instead.
     """
     first: dict[Face, int] = {}
     setdefault = first.setdefault
@@ -313,11 +321,6 @@ def _ridge_pass(facets: Sequence[Face], n: int) -> tuple[dict[Face, int], list[i
     return first, partner, meets_earlier.count(0) == 1  # facets[0] meets no earlier one
 
 
-def _boundary_ridges(first: dict[Face, int], partner: list[int]) -> list[Face]:
-    """The ridges in exactly one facet, in the order the ridge pass saw them."""
-    return list(itertools.compress(first, [partner[k] < 0 for k in first.values()]))
-
-
 def _no_ridge_in_three(first: dict[Face, int], partner: list[int]) -> bool:
     """Whether every ridge lies in at most two facets, by a count identity.
 
@@ -326,22 +329,6 @@ def _no_ridge_in_three(first: dict[Face, int], partner: list[int]) -> bool:
     equality iff no ridge lies in three or more facets.
     """
     return len(partner) == 2 * len(first) - partner.count(-1)
-
-
-def _first_overflow(first: dict[Face, int], partner: list[int]) -> tuple[Face, int]:
-    """The ridge in three or more facets first seen in the ridge pass, with its count.
-
-    Some ridge must lie in three facets.  ``first`` lists the ridges in
-    the order they were seen.  A ring runs from its first slot to the
-    newest and back down to the second, so it is walked until it drops to
-    its first slot, its least.
-    """
-    for ridge, j in first.items():
-        count, k = 1, partner[j]
-        while k > j:
-            count, k = count + 1, partner[k]
-        if count > 2:
-            return ridge, count
 
 
 def _connected(partner: list[int], n: int, m: int) -> bool:

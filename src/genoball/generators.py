@@ -134,9 +134,8 @@ def boundary_sphere(family: str, n: int) -> Complex:
     if family == "simplex":
         return Complex(itertools.combinations(range(1, n + 1), n - 1))
     if family == "cross_polytope":
-        facets = [()] * (1 << n)  # allocated first: a huge n fails here, not in the loop
-        for index, signs in enumerate(itertools.product((0, 1), repeat=n)):
-            facets[index] = tuple(2 * i + 1 + s for i, s in enumerate(signs))
+        facets = [()] * (1 << n)  # allocated first: a huge n fails here, not in the product
+        facets[:] = itertools.product(*[(2 * i + 1, 2 * i + 2) for i in range(n)])
         return Complex(facets)
     raise ValueError(f"unknown sphere family {family!r}")
 

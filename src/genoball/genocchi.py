@@ -39,7 +39,6 @@ arithmetic, so an N too large to allocate fails at once, never runs on.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -299,8 +298,9 @@ def _odd_step(n: int, half: list[int], W: list[int], L: int, N: int) -> int:
 
 
 def _lcm_of_evens(N: int) -> int:
-    """L = lcm(2, 4, ..., 2N), the odd recursion's common denominator."""
-    return functools.reduce(math.lcm, range(2, 2 * N + 1, 2), 1)
+    """L = lcm(2, 4, ..., 2N), the common denominator of the odd recursion's
+    steps and of the Genocchi identity's weights in ``verify``."""
+    return math.lcm(*range(2, 2 * N + 1, 2))
 
 
 def _recursion_table(G: list[int], method: str) -> GenocchiTable:

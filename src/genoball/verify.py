@@ -32,13 +32,12 @@ Genocchi values are read from the table passed in, on every call.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
 
 from .complexes import Complex, FVector
-from .genocchi import GenocchiTable, SelfCheckError, binomial
+from .genocchi import GenocchiTable, SelfCheckError, _lcm_of_evens, binomial
 
 __all__ = [
     "ParityError",
@@ -98,7 +97,7 @@ def _genocchi_weights(k: int, top: int) -> tuple[int, tuple[tuple[int, int, int]
     Built once per (k, top), with each binomial pair self-tested as it is
     built; a failed self-test raises and caches nothing.
     """
-    L = math.lcm(*range(2, 2 * top + 1, 2))
+    L = _lcm_of_evens(top)
     return L, tuple((L // (2 * i), *_checked_binomials(k, i)) for i in range(1, top + 1))
 
 

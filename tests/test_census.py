@@ -36,6 +36,7 @@ from genoball.complexes import (
     RidgeOverflowError,
     from_facets,
 )
+from genoball.corpus import corpus_balls
 from genoball.generators import (
     SPHERE_FAMILIES,
     barycentric_subdivision,
@@ -220,6 +221,11 @@ def boundary_slot_met_before_the_last_facet(order):
     )
 
 
+# (1, 2, 3) and (7, 8, 9) each lie in three facets; listed as is, (1, 2, 3)
+# is seen first, and reversed, (7, 8, 9) would be
+TWO_CROWDED_RIDGES = [[1, 2, 3, x] for x in (4, 5, 6)] + [[7, 8, 9, y] for y in (10, 11, 12)]
+
+
 # a strip of five triangles (v1, v2, v3), (v2, v3, v4), ..., (v5, v6, v7)
 # with v = 1, 2, 3, 5, 6, 7, 4, listed in lexicographic order: the strip's
 # fourth triangle, (5, 6, 7), comes last, and its fifth, (4, 6, 7), which
@@ -355,7 +361,7 @@ SMALL_BALLS = pytest.mark.parametrize(
         stacked_ball(6, 12, 1),
         barycentric_subdivision(stacked_ball(4, 3, 2)),
         from_facets([[1, 2, 3], [4, 5, 6]]),
-        # a ridge in three facets, so the rings are walked to name it
+        # a ridge in three facets, which the error of boundary() names
         from_facets([[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 3, 6], [1, 2, 4, 7]]),
         from_facets([[1], [2], [3]]),
         TWO_DISJOINT_5_SIMPLICES,
@@ -546,6 +552,51 @@ def test_the_search_decides_where_the_ridge_pass_shows_no_link(ball, connected):
     assert ball.census().report.dual_graph_connected is connected
 
 
+def assert_boundary_reads_no_ridge_pass(monkeypatch, C):
+    # the partner array serves the census alone: once the census is taken,
+    # boundary(), interior_f_vector() and their errors run no ridge pass
+    C.census()
+
+    def no_ridge_pass(facets, n):
+        raise AssertionError("a ridge pass after the census")
+
+    monkeypatch.setattr(complexes, "_ridge_pass", no_ridge_pass)
+    assert_census_matches_reference(C)
+
+
+@SMALL_BALLS
+def test_boundary_reads_no_ridge_pass(monkeypatch, ball):
+    assert_boundary_reads_no_ridge_pass(monkeypatch, Complex(ball.facets))
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [CROWDED_RIDGES, TWO_CROWDED_RIDGES, [[1, 2, 3], [1, 2, 4], [1, 2, 5]],
+     boundary_sphere("simplex", 4).facets, [[1]]],
+    ids=["crowded-ridge-seen-first-fills-last", "two-crowded-ridges", "ridge-overflow",
+         "simplex-sphere-n4", "point"],
+)
+def test_boundary_errors_read_no_ridge_pass(monkeypatch, facets):
+    assert_boundary_reads_no_ridge_pass(monkeypatch, from_facets(facets))
+
+
+# the corpus and the inputs of the benchmark's ball-files workload
+CORPUS_AND_BALL_FILES = {
+    **dict(corpus_balls()),
+    "stacked-9-60-1": stacked_ball(9, 60, 1),
+    "sd-stacked-5-12-1": barycentric_subdivision(stacked_ball(5, 12, 1)),
+    "simplex-13": simplex_ball(13),
+}
+
+
+@pytest.mark.parametrize("name", CORPUS_AND_BALL_FILES)
+def test_boundary_complex_counts_as_the_census_boundary_row(name):
+    # boundary() counts ridge holders with a Counter, the census with its
+    # partner array; the boundary complex's own census must agree
+    ball = CORPUS_AND_BALL_FILES[name]
+    assert ball.boundary().census().f == ball.census().f_boundary
+
+
 def what_the_facet_order_decides(C):
     """The facets, the census, whether a shelling reached every facet, and
     the error boundary() raises, as text."""
@@ -560,8 +611,7 @@ def what_the_facet_order_decides(C):
 @pytest.mark.parametrize(
     "facets",
     [
-        # listed as is, (1, 2, 3) is seen first; reversed, (7, 8, 9) would be
-        [[1, 2, 3, x] for x in (4, 5, 6)] + [[7, 8, 9, y] for y in (10, 11, 12)],
+        TWO_CROWDED_RIDGES,
         CROWDED_RIDGES,
         STACKED_7_30.facets,  # shelled
         SOLID_TORUS_N6.facets,  # stuck

@@ -265,14 +265,14 @@ class TestRecursionOdd:
         assert genocchi_by_recursion_odd(10).values == genocchi_by_series(10).values
 
     def test_weight_division_is_checked(self, monkeypatch):
-        # one more than each lcm: L = lcm(lcm(1, 2) + 1, 4) + 1 = 13, so
-        # G_2 = -13/13 divides exactly but the weight L / 2 = 13/2 does not
+        # one more than the lcm: L = lcm(2, 4) + 1 = 5, so G_2 = -5/5
+        # divides exactly but the weight L / 2 = 5/2 does not
         fake_math = types.SimpleNamespace(
-            factorial=math.factorial, lcm=lambda a, b: math.lcm(a, b) + 1
+            factorial=math.factorial, lcm=lambda *a: math.lcm(*a) + 1
         )
         monkeypatch.setattr(genocchi, "math", fake_math)
         with pytest.raises(
-            SelfCheckError, match=r"^lcm\(2\.\.4\) / 2 must be an integer, got 13/2$"
+            SelfCheckError, match=r"^lcm\(2\.\.4\) / 2 must be an integer, got 5/2$"
         ):
             genocchi_by_recursion_odd(2)
 
