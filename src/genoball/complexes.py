@@ -12,7 +12,10 @@ the complex, and then of its boundary, are counted by one rule: below six
 vertices per facet by expansion, with the complex's ridges read off its
 pass, and from six up by a greedy shelling over a ridge pass, whose
 h-vector gives f, falling back to the expansion when it gets stuck; so
-the counts are exact either way.  The ball screen is read off those
+the counts are exact either way.  The pass also records, per facet F, the
+positions of F whose ridges an earlier facet holds, E(F), and the
+expansion lists only the faces of F that contain E(F): any other lies in
+an earlier facet.  The ball screen is read off those
 counts; one function lists its conditions and the sphere screen's.  The
 boundary complex is built only when :meth:`Complex.boundary` is called,
 from a ``Counter`` of each ridge's holders, which also names the crowded
@@ -213,7 +216,8 @@ class Complex:
         faces of the complex, and then of its boundary ridges, are counted
         by expansion below n = 6 and from 6 up by a shelling over a ridge
         pass (the boundary's own), with the expansion as the fallback when
-        the shelling gets stuck; only dimensions 0..n-3 are ever expanded.
+        the shelling gets stuck; only dimensions 0..n-3 are ever expanded,
+        and of a facet only the faces that hold its earlier-held ridges' vertices.
         The adjacency search runs only when no shelling reached every
         facet and some facet meets no earlier one.  :meth:`faces` and
         :meth:`f_vector` are not called and no :class:`Complex` is built.
@@ -228,12 +232,13 @@ class Complex:
     def _take_census(self) -> "Census":
         n = self.n
         facets = self.facets
-        ridge_pass = first, partner, linked = _ridge_pass(facets, n)
+        ridge_pass = first, partner, held = _ridge_pass(facets, n)
         # the ridges in exactly one facet, in the order the ridge pass saw them
         boundary = list(itertools.compress(first, [partner[k] < 0 for k in first.values()]))
         f, shelled = _face_counts(facets, n, ridge_pass)
-        # a shelling crosses only shared ridges, so reaching every facet connects them
-        connected = shelled or linked or _connected(partner, n, len(facets))
+        # a shelling crosses only shared ridges, so reaching every facet connects
+        # them; so does a pass in which only facets[0] holds no earlier-held ridge
+        connected = shelled or held.count(0) == 1 or _connected(partner, n, len(facets))
         f_bd = _face_counts(boundary, n - 1)[0]
         return Census(
             f=f,
@@ -290,7 +295,7 @@ class Complex:
         return self.census().report
 
 
-def _ridge_pass(facets: Sequence[Face], n: int) -> tuple[dict[Face, int], list[int], bool]:
+def _ridge_pass(facets: Sequence[Face], n: int) -> tuple[dict[Face, int], list[int], list[int]]:
     """Which facets share each ridge, in one flat array; one dict operation per ridge.
 
     Slot k = i*n + r stands for the r-th ridge of facets[i] in
@@ -299,26 +304,32 @@ def _ridge_pass(facets: Sequence[Face], n: int) -> tuple[dict[Face, int], list[i
     for a ridge held by one facet; otherwise the holders of a ridge form
     a ring of slots, each pointing at the next, so two holders point at
     each other and the adjacency search reaches every holder of a crowded
-    ridge.  ``linked`` tells whether every facet after the first meets an
-    earlier one, which connects the facet-adjacency graph.  Only the
-    census reads this pass: :meth:`Complex.boundary` and the overflow
-    error count each ridge's holders with a ``Counter`` instead.
+    ridge.  Bit p of ``held[i]`` is set iff the ridge of facets[i] that
+    drops position p lies in an earlier facet, so ``held[0]`` is 0; when
+    no later entry is 0, every facet meets an earlier one, which connects
+    the facet-adjacency graph.  Only the census reads this pass:
+    :meth:`Complex.boundary` and the overflow error count each ridge's
+    holders with a ``Counter`` instead.
     """
     first: dict[Face, int] = {}
     setdefault = first.setdefault
     partner = [-1] * (len(facets) * n)
-    meets_earlier = bytearray(len(facets))
+    held: list[int] = []
     k = 0
-    for i, facet in enumerate(facets):
+    top = n - 1  # slot k drops position top - k of its facet
+    for facet in facets:
+        mask = 0
         for ridge in itertools.combinations(facet, n - 1):
             j = setdefault(ridge, k)
             if j != k:
                 p = partner[j]
                 partner[k] = j if p < 0 else p
                 partner[j] = k
-                meets_earlier[i] = 1
+                mask |= 1 << (top - k)
             k += 1
-    return first, partner, meets_earlier.count(0) == 1  # facets[0] meets no earlier one
+        held.append(mask)
+        top += n
+    return first, partner, held
 
 
 def _no_ridge_in_three(first: dict[Face, int], partner: list[int]) -> bool:
@@ -352,15 +363,22 @@ def _connected(partner: list[int], n: int, m: int) -> bool:
 
 
 def _face_counts(
-    facets: Sequence[Face], n: int, ridge_pass: tuple[dict, list[int], bool] | None = None
+    facets: Sequence[Face], n: int, ridge_pass: tuple[dict, list[int], list[int]] | None = None
 ) -> tuple[FVector, bool]:
     """The f-vector of a pure complex, and whether a shelling reached every facet.
 
     From n = _SHELL_MIN_N up, with ``ridge_pass`` or a pass of its own, if
     no ridge lies in three facets and a greedy shelling reaches every
     facet, F adds the faces between R(F) and F: f_{j-1} = sum_r h_r
-    C(n-r, j-r).  Otherwise the faces below the facets are expanded, but
-    the ridges are counted off a given pass and f_0 off the vertices.
+    C(n-r, j-r).  Otherwise the faces below the facets are expanded, with
+    f_0 read off the vertices and, given a pass, the ridges off it.  A
+    facet F expands only the subsets that hold E(F), the vertices v whose
+    ridge F - {v} the pass saw in an earlier facet: a face that misses
+    such a v lies in F - {v}, where that facet already produced it.  So
+    each face comes first from the first facet that holds it, and one set
+    per size still counts each once, for any facet order, crowded ridges
+    and repeated facets included.  Without a pass E(F) is empty and every
+    subset is expanded.
     """
     if n >= _SHELL_MIN_N and facets:
         ridge_pass = first, partner, _ = ridge_pass or _ridge_pass(facets, n)
@@ -369,10 +387,41 @@ def _face_counts(
     # n = 0 is the boundary of a point, the empty complex; a point's empty ridge is not counted
     if n < 2:
         return FVector((len(facets),) * n), False
-    ridges = len(ridge_pass[0]) if ridge_pass else len(set(_subsets(facets, n - 1)))
-    lower = [len(set(_subsets(facets, s))) for s in range(2, n - 1)]
-    vertices = [len(set(itertools.chain.from_iterable(facets)))] if n > 2 else []
-    return FVector((*vertices, *lower, ridges, len(facets))), False
+    if ridge_pass:
+        groups: dict[int, list[Face]] = defaultdict(list)  # the facets by their bitmask E(F)
+        for facet, mask in zip(facets, ridge_pass[2]):
+            groups[mask].append(facet)
+        top, ridges = n - 1, [len(ridge_pass[0])] if n > 2 else []
+    else:  # no pass: E(F) is empty, and the ridges are expanded too
+        groups, top, ridges = {0: facets}, n, []
+    faces: list[set[Face]] = [set() for _ in range(2, top)]  # faces[s - 2] holds the s-subsets
+    getters = _small_subset_getters if n < _SHELL_MIN_N else _subset_getters
+    for mask, group in groups.items():
+        if mask:  # only a pass sets bits, and then top = n - 1
+            for s, getter in getters(n, mask):
+                faces[s - 2].update(map(getter, group))
+        else:  # every subset: combinations list them faster than getters do
+            for s in range(2, top):
+                faces[s - 2].update(_subsets(group, s))
+    vertices = len(set(itertools.chain.from_iterable(facets)))
+    return FVector((vertices, *map(len, faces), *ridges, len(facets))), False
+
+
+def _subset_getters(n: int, mask: int) -> tuple[tuple[int, operator.itemgetter], ...]:
+    """(s, getter) for each s-subset of the positions 0..n-1, 2 <= s <= n - 2, that holds
+    every position set in ``mask``: the getter reads that subset off a facet, in order."""
+    inside = [p for p in range(n) if mask >> p & 1]
+    outside = [p for p in range(n) if not mask >> p & 1]
+    return tuple(
+        (s, operator.itemgetter(*sorted((*inside, *rest))))
+        for s in range(max(2, len(inside)), n - 1)
+        for rest in itertools.combinations(outside, s - len(inside))
+    )
+
+
+# Tabled below _SHELL_MIN_N only, where at most 2^n masks of n < 6 occur; above, a
+# table would grow with n, and the expansion after a stuck shelling builds its own
+_small_subset_getters = functools.cache(_subset_getters)
 
 
 @functools.cache

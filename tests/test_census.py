@@ -47,6 +47,8 @@ from genoball.generators import (
     stacked_ball,
 )
 
+from helpers import relabel
+
 
 def reference_dual_connected(facets, n, incidence):
     by_ridge = {r: [] for r in incidence}
@@ -183,6 +185,52 @@ def _facet_sets_at_the_shelling_size(draw):
 @given(_facet_sets_at_the_shelling_size())
 def test_arbitrary_facet_sets_at_the_shelling_size(facets):
     assert_census_matches_reference(from_facets(facets))
+
+
+@st.composite
+def _facet_lists_sharing_ridges(draw):
+    """Facet lists in any order, with repeats, whose ridges are held by many
+    facets: sublists of a stacked ball with n = 4 or 5 and of the subdivision
+    of a stacked ball with n = 3 or 4, and arbitrary facets with n = 4 or 5
+    on n + 2 vertices, which crowd ridges into three or more facets."""
+    kind = draw(st.sampled_from(["stacked", "subdivided", "arbitrary"]))
+    seed = draw(st.integers(0, 2**32))
+    if kind == "stacked":
+        pool = stacked_ball(draw(st.integers(4, 5)), draw(st.integers(1, 12)), seed).facets
+    elif kind == "subdivided":
+        base = stacked_ball(draw(st.integers(3, 4)), draw(st.integers(1, 4)), seed)
+        pool = barycentric_subdivision(base).facets
+    else:
+        n = draw(st.integers(4, 5))
+        pool = list(combinations(range(1, n + 3), n))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+def reference_earlier_held(facets, n):
+    """Bit p of entry i is set iff facets[i] minus its p-th vertex is a ridge
+    of an earlier entry."""
+    seen, held = set(), []
+    for facet in facets:
+        ridges = [facet[:p] + facet[p + 1:] for p in range(n)]
+        held.append(sum(1 << p for p, ridge in enumerate(ridges) if ridge in seen))
+        seen.update(ridges)
+    return held
+
+
+@settings(max_examples=150, deadline=None)
+@given(_facet_lists_sharing_ridges())
+def test_expansion_under_heavy_ridge_sharing(facets):
+    # a facet expands only the subsets that hold its earlier-held positions;
+    # the count stays exact in any order, with repeated facets and crowded
+    # ridges, and without a pass, where every subset is expanded
+    assert_census_matches_reference(from_facets(facets))
+    n = len(facets[0])
+    ridge_pass = complexes._ridge_pass(facets, n)
+    assert ridge_pass[2] == reference_earlier_held(facets, n)
+    # the top entry is the length of the list, repeats included
+    expected = (*from_facets(facets).f_vector()[:-1], len(facets))
+    assert complexes._face_counts(facets, n, ridge_pass) == (expected, False)
+    assert complexes._face_counts(facets, n) == (expected, False)
 
 
 def crowded_ridge_filled_last(order):
@@ -352,6 +400,17 @@ SOLID_TORUS_N6 = from_facets([[(i + t) % 13 for t in range(6)] for i in range(13
 CROSS_POLYTOPE_N6 = boundary_sphere("cross_polytope", 6)  # closed, shelled
 STACKED_7_30 = stacked_ball(7, 30, 1)  # its boundary, with n - 1 = 6, is shelled too
 
+
+def two_disjoint_copies(C):
+    """C and a copy of C on new vertices."""
+    shift = max(C.vertices)
+    return Complex([*C.facets, *relabel(C, {v: v + shift for v in C.vertices}).facets])
+
+
+# the ball and its boundary are disconnected, so both shellings get stuck and
+# the expansion counts both, reading each one's own ridge pass
+TWO_DISJOINT_STACKED_10_40 = two_disjoint_copies(stacked_ball(10, 40, 1))
+
 SMALL_BALLS = pytest.mark.parametrize(
     "ball",
     [
@@ -445,6 +504,7 @@ def test_census_builds_no_complex(monkeypatch, ball):
         (STACKED_7_30, [(7, True), (6, True)]),
         (CROSS_POLYTOPE_N6, [(6, True)]),  # no boundary to count
         (TWO_DISJOINT_5_SIMPLICES, [(6, False)]),
+        (TWO_DISJOINT_STACKED_10_40, [(10, False), (9, False)]),
         (SOLID_TORUS_N6, [(6, False)]),
         (RIDGE_IN_THREE_N6, []),
         (stacked_ball(6, 12, 1), [(6, True)]),
@@ -453,8 +513,9 @@ def test_census_builds_no_complex(monkeypatch, ball):
         (cone_over_boundary(boundary_sphere("cross_polytope", 4)), []),
     ],
     ids=["stacked-9-60", "simplex-13", "stacked-7-30", "cross-polytope-n6",
-         "two-disjoint-5-simplices", "solid-torus-n6", "ridge-in-three-facets-n6",
-         "stacked-6-12", "stacked-5-12", "sd-stacked-4-3", "cone-cross-polytope-4"],
+         "two-disjoint-5-simplices", "two-disjoint-stacked-10-40", "solid-torus-n6",
+         "ridge-in-three-facets-n6", "stacked-6-12", "stacked-5-12", "sd-stacked-4-3",
+         "cone-cross-polytope-4"],
 )
 def test_census_shells_from_six_vertices_per_facet(monkeypatch, ball, shellings):
     # (n, whether the greedy shelling reached every facet) for each call, the
@@ -493,6 +554,62 @@ def test_census_passes_over_the_boundary_only_to_shell_it(monkeypatch, ball):
     monkeypatch.undo()
     assert calls == ([ball.n, ball.n - 1] if ball.n >= 7 else [ball.n])
     assert_census_matches_reference(C)
+
+
+class CountingSet(set):
+    """A set that counts the tuples it is handed, for the census's face sets."""
+
+    handed = 0
+
+    def __init__(self, items=()):
+        super().__init__()
+        self.update(items)
+
+    def update(self, *iterables):
+        for items in map(list, iterables):
+            CountingSet.handed += sum(isinstance(item, tuple) for item in items)
+            super().update(items)
+
+
+@pytest.mark.parametrize(
+    "balls, lower, lower_boundary",
+    [
+        # f_1 + f_2 = 1 610 + 4 020: each face is listed once, by the first
+        # facet that holds it; the boundary (912 facets, n - 1 = 4) gets no
+        # pass, and lists all 6 + 4 subsets of each facet
+        ([barycentric_subdivision(stacked_ball(5, 12, 1))], 5630, 9120),
+        ([ball for _, ball in corpus_balls() if ball.n < 6], 5906, None),
+    ],
+    ids=["sd-stacked-5-12-1", "corpus-below-6"],
+)
+def test_census_lists_only_faces_that_can_be_new(monkeypatch, balls, lower, lower_boundary):
+    # the faces below the ridges that the census lists, counted as they are
+    # handed to its sets; listing every subset of every facet would hand
+    # 28 800 and 19 730
+    monkeypatch.setattr(CountingSet, "handed", 0)
+    monkeypatch.setattr(complexes, "set", CountingSet, raising=False)
+    for C in balls:
+        complexes._face_counts(C.facets, C.n, complexes._ridge_pass(C.facets, C.n))
+    assert CountingSet.handed == lower
+    if lower_boundary is not None:
+        CountingSet.handed = 0
+        (C,) = balls
+        first, partner, _ = complexes._ridge_pass(C.facets, C.n)
+        complexes._face_counts([r for r, k in first.items() if partner[k] < 0], C.n - 1)
+        assert CountingSet.handed == lower_boundary
+
+
+@pytest.mark.parametrize(
+    "ball", [TWO_DISJOINT_5_SIMPLICES, SOLID_TORUS_N6, RIDGE_IN_THREE_N6],
+    ids=["two-disjoint-5-simplices", "solid-torus-n6", "ridge-in-three-facets-n6"],
+)
+def test_expansion_from_six_up_tables_nothing(ball):
+    # the subset getters are tabled below six vertices per facet only, where
+    # at most 2^5 masks occur; the expansion after a stuck shelling builds
+    # its own, so no table grows with n
+    before = complexes._small_subset_getters.cache_info().currsize
+    assert complexes._face_counts(ball.facets, ball.n) == (ball.f_vector(), False)
+    assert complexes._small_subset_getters.cache_info().currsize == before
 
 
 @pytest.mark.parametrize(
@@ -672,6 +789,7 @@ BIG_BALLS = {
     "simplex-16": lambda: simplex_ball(16),
     "stacked-10-800-1": lambda: stacked_ball(10, 800, 1),
     "sd-stacked-5-12-1": lambda: barycentric_subdivision(stacked_ball(5, 12, 1)),
+    "two-disjoint-stacked-10-40-1": lambda: TWO_DISJOINT_STACKED_10_40,
 }
 
 
